@@ -4,7 +4,7 @@ Benchmark scales: pytest-benchmark targets use reduced graph scales so
 ``pytest benchmarks/ --benchmark-only`` completes in minutes; running a
 script directly (``python benchmarks/bench_table4_indexing.py``)
 regenerates the corresponding paper artifact at full stand-in scale
-(see EXPERIMENTS.md for the recorded outputs and the paper comparison).
+(``benchmarks/run_all_experiments.py`` regenerates all of them).
 
 Engine construction goes through the registry/facade
 (:func:`fresh_engine`, :func:`build_index`, :func:`dataset_session`) so

@@ -6,7 +6,8 @@ trivialize the search at this scale), and the extended Q4 ``a+ b+``
 evaluated with the RLC index plus an online traversal.  Engines are the
 architecturally simulated Sys1 (tuple-at-a-time property graph), Sys2
 (set-at-a-time RDF semi-naive) and VirtuosoSim (transitive rounds over
-sorted sets) — see DESIGN.md substitutions.
+sorted sets) — see the :mod:`repro.bench.engines` docstring for how
+each simulates its system.
 
 Expected shape: the index wins by orders of magnitude on Q1-Q3 and the
 break-even point (queries needed to amortize the index build) drops as

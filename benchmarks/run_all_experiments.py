@@ -1,14 +1,11 @@
 """Regenerate every paper artifact in one run.
 
 Writes one aligned-text file per table/figure into ``--out`` (default
-``experiments_output/``) and echoes everything to stdout.  This is the
-script behind EXPERIMENTS.md: the recorded outputs there were produced
-by ``python benchmarks/run_all_experiments.py``.
+``experiments_output/``) and echoes everything to stdout.
 
 The heavy five datasets (WH, PR, SO, LJ, WF) appear at full stand-in
 scale in Table IV and at 0.3x in Fig. 3 (their query-time rows are
-shape-identical; the reduced scale keeps the full run under an hour —
-see EXPERIMENTS.md).
+shape-identical; the reduced scale keeps the full run under an hour).
 """
 
 from __future__ import annotations

@@ -22,18 +22,14 @@ owning a graph, its prepared engines, and its caches::
         constraint = graph.encode_sequence(("debits", "credits"))
         assert session.query(b.vertex_id("a14"), b.vertex_id("a19"), constraint)
 
-Lower layers remain importable from their homes — ``repro.core`` for
-the index algorithms, ``repro.engine`` for the registry and service,
-``repro.graph`` for graphs and partitioning.  The engine-layer names
-that used to be re-exported here (``QueryService``, ``create_engine``,
-...) still resolve, with a :class:`DeprecationWarning` pointing at
-their canonical imports.
+Lower layers are imported from their homes — ``repro.core`` for the
+index algorithms, ``repro.engine`` for the registry and service,
+``repro.graph`` for graphs.
 
-See DESIGN.md for the subsystem inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+``docs/ARCHITECTURE.md`` maps the subsystems, and
+``benchmarks/run_all_experiments.py`` regenerates every table and
+figure the paper reports.
 """
-
-import warnings
 
 from repro.errors import (
     BudgetExceededError,
@@ -46,15 +42,7 @@ from repro.errors import (
     ReproError,
     SerializationError,
 )
-from repro.graph import (
-    EdgeLabeledDigraph,
-    GraphBuilder,
-    GraphPartition,
-    compute_stats,
-    disjoint_union,
-    partition_graph,
-    weakly_connected_components,
-)
+from repro.graph import EdgeLabeledDigraph, GraphBuilder, compute_stats
 from repro.labels import (
     LabelDictionary,
     is_primitive,
@@ -84,49 +72,6 @@ from repro.api import (
 
 __version__ = "1.4.0"
 
-# Engine-layer entry points that predate the repro.api facade.  They
-# used to be eagerly re-exported here; the facade supersedes them as
-# the *top-level* spelling, so they now resolve lazily with a
-# DeprecationWarning — emitted once per name per process (the shims
-# are a migration aid, not a log-spam generator).  The canonical
-# imports (repro.engine.*) are untouched and warning-free, and every
-# shimmed entry point answers through the prepared-query protocol
-# underneath (``QueryService.query`` is a shim over ``query_prepared``).
-_DEPRECATED_ENGINE_EXPORTS = (
-    "EngineStats",
-    "QueryService",
-    "ReachabilityEngine",
-    "ServiceReport",
-    "ShardedEngine",
-    "available_engines",
-    "create_engine",
-    "engine_names",
-)
-
-_WARNED_DEPRECATED: set = set()
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ENGINE_EXPORTS:
-        if name not in _WARNED_DEPRECATED:
-            _WARNED_DEPRECATED.add(name)
-            warnings.warn(
-                f"importing {name!r} from the top-level 'repro' package is "
-                f"deprecated; use repro.engine.{name} directly, or drive "
-                "queries through repro.Session",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro import engine as _engine
-
-        return getattr(_engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_ENGINE_EXPORTS))
-
-
 __all__ = [
     "AsyncQueryService",
     "BudgetExceededError",
@@ -136,20 +81,15 @@ __all__ = [
     "EdgeLabeledDigraph",
     "EngineError",
     "EngineOptionError",
-    "EngineStats",
     "find_witness_path",
     "ExtendedQueryEvaluator",
     "ExtendedTransitiveClosure",
     "GraphBuilder",
     "GraphError",
-    "GraphPartition",
     "LabelDictionary",
     "Nfa",
     "PersistentResultCache",
-    "QueryService",
-    "ReachabilityEngine",
     "ReplayServer",
-    "ServiceReport",
     "Session",
     "NfaBfs",
     "NfaBiBfs",
@@ -163,22 +103,15 @@ __all__ = [
     "RlcIndexBuilder",
     "RlcQuery",
     "SerializationError",
-    "ShardedEngine",
-    "available_engines",
     "build_rlc_index",
     "compile_regex",
     "compute_stats",
     "constraint_automaton",
-    "create_engine",
-    "disjoint_union",
-    "engine_names",
     "is_primitive",
     "kernel_decomposition",
     "minimum_repeat",
     "open_session",
     "parse_regex",
-    "partition_graph",
     "validate_rlc_query",
-    "weakly_connected_components",
     "__version__",
 ]

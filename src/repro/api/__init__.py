@@ -20,7 +20,7 @@ Quickstart::
     from repro.api import Session
 
     with Session("TW", cache_dir=".repro-cache") as session:
-        report = session.run(workload, engine="sharded:rlc?parts=4")
+        report = session.run(workload, engine="rlc?k=3")
         assert report.ok
 """
 

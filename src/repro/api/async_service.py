@@ -1,4 +1,4 @@
-"""Asyncio front-end over the thread-pool query service.
+"""Asyncio front-end over the query service.
 
 :class:`AsyncQueryService` lets asyncio applications (the replay
 server's future HTTP/2 incarnation, notebooks, any event-loop host)
@@ -9,8 +9,7 @@ wrapper: all execution happens on the wrapped
 like sequential callers — the wrapped service's LRU cache is an
 ``OrderedDict`` (not thread-safe), and one dispatch thread makes every
 ``run`` report and every cached answer identical to the synchronous
-path (the service still fans its own batches out over ``workers``
-threads underneath)::
+path::
 
     service = AsyncQueryService(QueryService(create_engine("rlc", graph)))
     answer = await service.query(0, 5, (1, 0))
@@ -91,7 +90,7 @@ class AsyncQueryService:
     ):
         """Await one query's :class:`~repro.engine.QueryOutcome`.
 
-        Identical provenance (cache layer, routing counters, witness)
+        Identical provenance (cache layer, witness)
         to the sync ``query_outcome`` — one dispatch thread serializes
         with every other call on this wrapper.
         """

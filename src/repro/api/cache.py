@@ -54,7 +54,7 @@ def cache_file_name(graph_digest: str, engine_spec: str) -> str:
 
     The digest prefix keeps the name greppable per graph; the hash
     suffix disambiguates engine specs (which contain characters unfit
-    for file names, ``sharded:rlc?parts=4`` being typical).
+    for file names, ``rlc?k=3`` being typical).
     """
     spec_hash = sha256(engine_spec.encode("utf-8")).hexdigest()[:12]
     return f"{graph_digest[:16]}-{spec_hash}.json"

@@ -8,16 +8,16 @@ one process owns the prepared engines and answers a stream of queries.
 - ``GET /healthz`` — liveness plus graph/engine identity (including
   the default engine's capability flags);
 - ``GET /stats`` — per-spec service counters (cache hits, engine
-  timings, shard counts, router memo hits ...);
+  timings ...);
 - ``POST /prepare`` — compile a constraint once: ``{"labels": [1, 0]}``
-  returns the prepared constraint's normalized labels, digest,
-  rotation set and the serving engine's capabilities; subsequent
+  returns the prepared constraint's normalized labels, digest and
+  the serving engine's capabilities; subsequent
   ``/query`` calls under the same constraint hit the server-side
   prepared memo;
 - ``POST /query`` — one query: ``{"source": 0, "target": 5, "labels":
   [1, 0]}``; the response is the structured
   :class:`~repro.engine.QueryOutcome` JSON (answer, engine id, cache
-  layer, routing counters, wall time).  Add ``"witness": true`` for a
+  layer, wall time).  Add ``"witness": true`` for a
   witness path on a witness-ready engine, or ``"explain": true`` for
   the fuller ``Session.explain`` document;
 - ``POST /batch`` — a workload replay: ``{"queries": [{"source": ...,

@@ -13,7 +13,7 @@ in-memory LRU::
     with Session("graph.txt", cache_dir=".repro-cache") as session:
         session.query(0, 5, (1, 0))                      # default engine
         session.query(0, 5, (1, 0), engine="bibfs")      # any spec
-        report = session.run("workload.txt", engine="sharded:rlc?parts=4")
+        report = session.run("workload.txt", engine="rlc?k=3")
         print(session.explain(0, 5, (1, 0)))
 
 Everything a session creates is memoized by *(spec, options)*: asking
@@ -76,7 +76,7 @@ class Session:
     - ``cache_dir`` — directory for the persistent result cache; None
       (the default) disables persistence and serves from the in-memory
       LRU only;
-    - ``cache_size`` / ``batch_size`` / ``workers`` — forwarded to every
+    - ``cache_size`` / ``batch_size`` — forwarded to every
       :class:`QueryService` the session creates;
     - ``scale`` — dataset stand-in scale, used only when ``source``
       names a dataset.
@@ -93,7 +93,6 @@ class Session:
         cache_dir: Optional[PathLike] = None,
         cache_size: int = 4096,
         batch_size: int = 256,
-        workers: int = 1,
         scale: float = 1.0,
         graph_name: Optional[str] = None,
     ) -> None:
@@ -104,7 +103,6 @@ class Session:
         self._cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self._cache_size = cache_size
         self._batch_size = batch_size
-        self._workers = workers
         self._digest: Optional[str] = None
         self._engines: Dict[str, EngineBase] = {}
         self._services: Dict[str, QueryService] = {}
@@ -160,7 +158,6 @@ class Session:
         session._cache_dir = None
         session._cache_size = options.pop("cache_size", 4096)
         session._batch_size = options.pop("batch_size", 256)
-        session._workers = options.pop("workers", 1)
         if options:
             raise EngineError(
                 f"unknown from_prepared options: {', '.join(sorted(options))}"
@@ -238,7 +235,7 @@ class Session:
         return engine
 
     def service(self, spec: Optional[str] = None, **options) -> QueryService:
-        """The query service for ``spec`` (cache + batching + workers)."""
+        """The query service for ``spec`` (cache + batching)."""
         self._ensure_open()
         spec = spec or self._default_spec
         key = _spec_key(spec, options)
@@ -248,7 +245,6 @@ class Session:
                 self.engine(spec, **options),
                 cache_size=self._cache_size,
                 batch_size=self._batch_size,
-                workers=self._workers,
                 store=self._store_for(key),
             )
             self._services[key] = service
@@ -321,9 +317,8 @@ class Session:
         The structured face of :meth:`query`: the returned
         :class:`~repro.engine.QueryOutcome` carries the answer, the
         engine id, the cache layer that served it (None on a fresh
-        evaluation), routing counters from composite engines, wall
-        time, and — with ``witness=True`` on a witness-capable engine —
-        a concrete witness path.
+        evaluation), wall time, and — with ``witness=True`` on a
+        witness-capable engine — a concrete witness path.
         """
         return self.service(engine, **engine_options).query_outcome(
             source, target, labels, witness=witness
@@ -387,7 +382,7 @@ class Session:
         verbatim) built from the :class:`~repro.engine.QueryOutcome`:
         the answer, the engine spec and engine id that produced it,
         the cache layer that served it (``cached`` stays the coarse
-        boolean), routing counters, the prepared constraint's digest,
+        boolean), the prepared constraint's digest,
         wall time, and — for true answers on a witness-ready engine —
         a shortest witness path.
         """
@@ -415,8 +410,6 @@ class Session:
             explanation["constraint_digest"] = service.prepare(labels).digest
         except EngineError:
             pass  # engines outside the prepared protocol have no digest
-        if outcome.routing:
-            explanation["routing"] = dict(outcome.routing)
         if outcome.witness is not None:
             vertices, path_labels = outcome.witness
             explanation["witness"] = {

@@ -202,7 +202,7 @@ class ExtendedTransitiveClosure:
         remaining per-query cost, the KMP primitivity check of the
         constraint, across queries sharing it (the same grouping —
         :func:`repro.queries.group_queries_by_constraint` — the
-        traversal baselines and the sharded composite use).
+        traversal baselines use).
         """
         answers: List[bool] = [False] * len(queries)
         groups = group_queries_by_constraint(self._graph, queries, k=self._k)

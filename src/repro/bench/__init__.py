@@ -4,7 +4,7 @@
   execution (the paper's timeout ``X`` marks), aligned-table rendering;
 - :mod:`repro.bench.engines` — simulated mainstream graph engines for
   Table V (the paper anonymizes two commercial systems; we substitute
-  architecturally-faithful interpreted engines, see DESIGN.md);
+  architecturally-faithful interpreted engines);
 - :mod:`repro.bench.experiments` — one driver per paper artifact
   (Table III/IV/V, Fig. 3-7, plus the design-choice ablations), each
   returning a :class:`~repro.bench.harness.ResultTable` that the

@@ -22,8 +22,9 @@ but by doing the extra work its system class really does:
 
 All three return *correct* answers (the test suite cross-checks them
 against the BFS oracle); only their cost model differs.  Table V's
-conclusions need relative, not absolute, behaviour — see DESIGN.md's
-substitution table.
+conclusions need relative, not absolute, behaviour, so each simulation
+keeps its system's evaluation strategy and cost ordering rather than
+its constant factors.
 """
 
 from __future__ import annotations

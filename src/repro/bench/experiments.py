@@ -7,7 +7,7 @@ parameters are sized for minutes-scale reproduction runs; the
 ``benchmarks/`` scripts expose knobs (``num_queries``, ``scale`` …) to
 grow any experiment toward the paper's settings.
 
-Paper-to-driver map (see also DESIGN.md section 5):
+Paper-to-driver map:
 
 ========  =====================================================
 Table III :func:`experiment_table3`
@@ -81,7 +81,7 @@ def experiment_table3(
         ],
         notes=[
             "stand-ins are deterministic synthetic graphs preserving label "
-            "skew, density ranking and cyclicity (DESIGN.md, substitutions)",
+            "skew, density ranking and cyclicity (see repro.graph.datasets)",
         ],
     )
     for name in names:
@@ -164,6 +164,23 @@ def experiment_table4(
 # ----------------------------------------------------------------------
 
 
+#: Fig. 3 reports the best of this many verified passes per query set:
+#: a single cold pass right after a build is dominated by cache warm-up
+#: and scheduler noise, which can swap the order of close engines.
+FIG3_PASSES = 3
+
+
+def _best_query_set_pass(engine, queries, time_cap: Optional[float]):
+    """Fastest of ``FIG3_PASSES`` verified runs, or TIMED_OUT."""
+    best = None
+    for _ in range(FIG3_PASSES):
+        micros = run_engine_query_set(engine, queries, time_cap=time_cap)
+        if micros is TIMED_OUT:
+            return TIMED_OUT
+        best = micros if best is None else min(best, micros)
+    return best
+
+
 def experiment_fig3(
     names: Sequence[str] = DEFAULT_DATASETS,
     *,
@@ -177,8 +194,9 @@ def experiment_fig3(
     """Execution time of the true/false query sets per engine.
 
     Engines: BFS, BiBFS, ETC (where its build budget allows — AD-like
-    behaviour), RLC index.  ``X`` marks a set exceeding ``time_cap``,
-    as in the paper's Fig. 3.
+    behaviour), RLC index.  Each cell is the best of ``FIG3_PASSES``
+    verified passes over the set.  ``X`` marks a set whose pass exceeds
+    ``time_cap``, as in the paper's Fig. 3.
     """
     table = ResultTable(
         title=(
@@ -215,11 +233,11 @@ def experiment_fig3(
                     dataset=name, engine=label, true_us=None, false_us=None
                 )
                 continue
-            true_us = run_engine_query_set(
-                engine, workload.true_queries, time_cap=time_cap
+            true_us = _best_query_set_pass(
+                engine, workload.true_queries, time_cap
             )
-            false_us = run_engine_query_set(
-                engine, workload.false_queries, time_cap=time_cap
+            false_us = _best_query_set_pass(
+                engine, workload.false_queries, time_cap
             )
             table.add_row(
                 dataset=name, engine=label, true_us=true_us, false_us=false_us
@@ -462,7 +480,7 @@ def experiment_table5(
         formatters={"engine_s": format_seconds, "rlc_s": format_seconds},
         notes=[
             "Sys1/Sys2/VirtuosoSim are architecturally simulated engines "
-            "(DESIGN.md substitutions); X = exceeded time cap",
+            "(see repro.bench.engines); X = exceeded time cap",
             "BEP = queries needed for index build time to pay off",
         ],
     )

@@ -8,14 +8,14 @@ Commands:
   (constraint in the paper's notation, e.g. ``"(debits, credits)+"``);
 - ``workload GRAPH -k K -o FILE`` — generate a verified query workload;
 - ``run INDEX WORKLOAD`` — replay a workload through a saved index
-  (batched + cached via the query service; ``--workers N`` executes
-  batches concurrently; ``--json`` emits the structured report and
-  ``--witness --graph GRAPH`` attaches witness paths to true answers);
+  (batched + cached via the query service; ``--json`` emits the
+  structured report and ``--witness --graph GRAPH`` attaches witness
+  paths to true answers);
 - ``engines`` — list the engines in the registry, their capability
   flags, and the spec grammar;
 - ``bench GRAPH WORKLOAD --engine SPEC`` — run a workload through any
   registered engine spec built over a graph file (bare names like
-  ``bibfs`` or parameterized specs like ``sharded:rlc?parts=4``);
+  ``bibfs`` or parameterized specs like ``rlc?k=3``);
 - ``serve GRAPH --engine SPEC`` — start the JSON replay server
   (``/query``, ``/batch``, ``/stats``, ``/healthz``) over a graph file
   or dataset name, optionally with a persistent result cache;
@@ -149,7 +149,6 @@ def _cmd_run(args) -> int:
         graph_name=str(args.index),
         batch_size=args.batch_size,
         cache_size=args.cache_size,
-        workers=args.workers,
     )
     queries = list(load_workload(args.workload))
     report = session.run(queries)
@@ -238,8 +237,8 @@ def _cmd_engines(args) -> int:
             f"{capabilities}  {description}"
         )
     print()
-    print("spec grammar: name[:inner][?key=value&...], alias rlc -> rlc-index")
-    print("e.g. sharded:rlc?parts=4 (four WCC-merged shards, RLC index each)")
+    print("spec grammar: name[?key=value&...], alias rlc -> rlc-index")
+    print("e.g. rlc?k=3 (an RLC index with recursive bound 3)")
     print(
         "capabilities column: select engines by feature with "
         "repro.engine.engines_with_capabilities(...)"
@@ -255,7 +254,6 @@ def _open_session(args) -> Session:
         cache_dir=getattr(args, "cache_dir", None),
         cache_size=args.cache_size,
         batch_size=args.batch_size,
-        workers=args.workers,
     )
 
 
@@ -277,13 +275,6 @@ def _cmd_bench(args) -> int:
         f"prepared {args.engine} over {session.graph!r} "
         f"in {stats.prepare_seconds:.2f}s"
     )
-    shards = stats.extra.get("shards")
-    if shards:
-        print(
-            f"partition: {int(shards)} shards, largest "
-            f"{int(stats.extra['largest_shard_vertices'])} vertices, "
-            f"{int(stats.extra['cross_shard_queries'])} cross-shard queries"
-        )
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -359,10 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=int, default=256)
     run.add_argument("--cache-size", type=int, default=4096)
     run.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool width for batch execution (default 1 = serial)",
-    )
-    run.add_argument(
         "--graph", default=None,
         help="graph file backing the index (required by --witness)",
     )
@@ -386,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("workload")
     bench.add_argument(
         "--engine", default="rlc-index",
-        help="engine spec, e.g. bibfs or sharded:rlc?parts=4",
+        help="engine spec, e.g. bibfs or rlc?k=3",
     )
     bench.add_argument(
         "-k", type=int, default=None,
@@ -398,10 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--cache-dir", default=None,
         help="directory for the persistent result cache (warm across runs)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool width for batch execution (default 1 = serial)",
     )
     bench.set_defaults(handler=_cmd_bench)
 
@@ -424,10 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--batch-size", type=int, default=256)
     serve.add_argument("--cache-size", type=int, default=4096)
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool width for batch execution (default 1 = serial)",
-    )
     serve.add_argument(
         "--quiet", action="store_true",
         help="suppress per-request access logging",

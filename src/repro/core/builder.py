@@ -30,7 +30,7 @@ search terminates on arbitrary cyclic graphs in ``O(|E| * |L|)``.
 - PR3: when a kernel-BFS insert at a copy boundary is pruned by PR1 or
   PR2, do not expand past that vertex.
 
-Note (documented in DESIGN.md): the paper's printed pseudocode stops
+Note: the paper's printed pseudocode stops
 the kernel-BFS when the insert *succeeds*; its prose (PR3, Example 6)
 and the Appendix-B correctness proofs stop when the insert is *pruned*.
 The printed variant is incomplete on simple chain graphs, so this

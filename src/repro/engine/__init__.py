@@ -1,26 +1,22 @@
 """Unified engine layer: one contract for every RLC answerer.
 
 Everything that can answer an RLC query — the RLC index, the four
-online/materialized baselines, the three simulated Table V systems,
-and the sharded composite over any of them — is wrapped in the
-:class:`ReachabilityEngine` contract (``prepare`` / ``query`` /
-``query_batch`` / ``stats``), constructed by name (or parameterized
-spec) through the registry, and served through the batching/caching,
-optionally concurrent :class:`QueryService`::
+online/materialized baselines and the three simulated Table V systems
+— is wrapped in the :class:`ReachabilityEngine` contract (``prepare`` /
+``query`` / ``query_batch`` / ``stats``), constructed by name (or
+parameterized spec) through the registry, and served through the
+batching/caching :class:`QueryService`::
 
     from repro.engine import QueryService, create_engine
 
-    engine = create_engine("sharded:rlc?parts=4", graph, k=2)
-    report = QueryService(engine, workers=4).run(workload)
+    engine = create_engine("rlc?k=2", graph)
+    report = QueryService(engine).run(workload)
     assert report.ok
 
 - :mod:`repro.engine.base` — the protocol and adapter scaffolding;
-- :mod:`repro.engine.adapters` — the eight flat engines;
-- :mod:`repro.engine.composite` — the partitioned :class:`ShardedEngine`;
-- :mod:`repro.engine.routing` — :class:`BoundaryRouter`, the sound
-  cross-shard evaluation over lossy (edge-cut) partitions;
+- :mod:`repro.engine.adapters` — the eight engines;
 - :mod:`repro.engine.registry` — string-keyed construction and the
-  ``name[:inner][?key=value&...]`` spec grammar;
+  ``name[?key=value&...]`` spec grammar;
 - :mod:`repro.engine.service` — batched, cached, verified serving.
 """
 
@@ -57,15 +53,12 @@ from repro.engine.adapters import (
     Sys2Engine,
     VirtuosoSimEngine,
 )
-from repro.engine.composite import ShardedEngine
-from repro.engine.routing import BoundaryRouter
 from repro.engine.service import QueryService, ServiceReport
 
 __all__ = [
     "KNOWN_CAPABILITIES",
     "BfsEngine",
     "BiBfsEngine",
-    "BoundaryRouter",
     "DfsEngine",
     "EngineBase",
     "EngineStats",
@@ -76,7 +69,6 @@ __all__ = [
     "ReachabilityEngine",
     "RlcIndexEngine",
     "ServiceReport",
-    "ShardedEngine",
     "Sys1Engine",
     "Sys2Engine",
     "VirtuosoSimEngine",

@@ -16,6 +16,8 @@ registry key    table label    backend
 ``virtuoso-sim``  VirtuosoSim  :class:`repro.bench.engines.VirtuosoSimEngine`
 ==============  =============  ==============================================
 
+``rlc`` is an alias of ``rlc-index``.
+
 Every adapter answers through the **prepared-query lifecycle**
 (:meth:`~repro.engine.base.EngineBase.prepare_query` /
 :meth:`~repro.engine.base.EngineBase.query_prepared`), each with a
@@ -60,12 +62,12 @@ from repro.baselines.dfs import evaluate_nfa_dfs
 from repro.core import build_rlc_index
 from repro.core.index import RlcIndex
 from repro.engine.base import EngineBase, PreparedQuery
-from repro.engine.registry import register
+from repro.engine.registry import register, register_alias
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.queries import RlcQuery
 
-#: Per-constraint hub-list memos are cleared past this many vertices
-#: (mirrors the boundary router's ``_CACHE_LIMIT`` policy).
+#: Per-constraint hub-list memos are cleared wholesale past this many
+#: vertices, which bounds their memory at no bookkeeping cost.
 _HUB_MEMO_LIMIT = 1 << 16
 
 __all__ = [
@@ -151,8 +153,7 @@ class RlcIndexEngine(EngineBase):
         carries the per-vertex hub-list caches, so repeated endpoints
         under one constraint cost two dict probes plus a binary
         search.  The memo is bounded: past ``_HUB_MEMO_LIMIT`` entries
-        a cache is cleared wholesale, the same crude-but-bounded
-        policy the boundary router uses.
+        a cache is cleared wholesale.
         """
         state = self.prepared_state_for(prepared)
         caches = state.get("hubs")
@@ -346,3 +347,6 @@ class VirtuosoSimEngine(_SimulatedEngineAdapter):
         from repro.bench.engines import VirtuosoSimEngine as _Backend
 
         return _Backend(graph)
+
+
+register_alias("rlc", "rlc-index")

@@ -7,12 +7,11 @@ online traversal, or a simulated external system.  This module defines
 that contract for the repro library:
 
 - :class:`PreparedQuery` — an RLC constraint compiled **once**
-  (normalized labels, constraint automaton, primitive-rotation set,
-  stable digest) and reusable across any ``(source, target)`` pair and
-  across engines;
+  (normalized labels, constraint automaton, stable digest) and
+  reusable across any ``(source, target)`` pair and across engines;
 - :class:`QueryOutcome` — the structured answer of one query: the
   boolean plus provenance (engine id, cache layer, witness path when
-  requested, routing counters, wall time);
+  requested, wall time);
 - :class:`ReachabilityEngine` — the structural protocol (``name``,
   ``capabilities``, ``prepare``, ``prepare_query``, ``query``,
   ``query_prepared``, ``query_batch``, ``stats``) that callers such as
@@ -47,7 +46,6 @@ from typing import (
     Dict,
     FrozenSet,
     List,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -76,34 +74,17 @@ __all__ = [
     "PreparedQuery",
     "QueryOutcome",
     "ReachabilityEngine",
-    "constraint_rotations",
 ]
 
-
-def constraint_rotations(
-    labels: Sequence[int],
-) -> Tuple[Tuple[int, ...], ...]:
-    """All cyclic rotations of a constraint: ``result[p] = L[p:] + L[:p]``.
-
-    The single home of the rotation derivation —
-    :attr:`PreparedQuery.rotations`, the boundary router's unprepared
-    fallback, and the sharded batch path all call this, so the
-    prepared and unprepared paths can never diverge.
-    """
-    labels = tuple(labels)
-    return tuple(
-        labels[position:] + labels[:position] for position in range(len(labels))
-    )
 
 #: The capability vocabulary engines may advertise.  ``witness`` — the
 #: engine can extract a concrete witness path for true answers;
 #: ``batch-grouped`` — ``query_batch`` genuinely amortizes work across
-#: queries sharing a constraint (not the loop fallback); ``sharded`` —
-#: the engine routes over a graph partition; ``dynamic`` — the engine
-#: supports incremental graph updates (reserved for the
+#: queries sharing a constraint (not the loop fallback); ``dynamic`` —
+#: the engine supports incremental graph updates (reserved for the
 #: ``DynamicRlcIndex`` adapter on the roadmap).
 KNOWN_CAPABILITIES: FrozenSet[str] = frozenset(
-    {"witness", "batch-grouped", "sharded", "dynamic"}
+    {"witness", "batch-grouped", "dynamic"}
 )
 
 #: A witness path in the paper's split form: ``(vertices, labels)``
@@ -125,15 +106,12 @@ class PreparedQuery:
     Construction normalizes and validates the label sequence (done by
     :meth:`EngineBase.prepare_query`, which checks it against the
     engine's label universe and recursive bound); the derived artifacts
-    — the cyclic constraint automaton, the primitive-rotation set the
-    boundary router seeds its hub-product search from, and the stable
-    cache digest — are computed lazily and memoized, so engines that
-    never need one (the RLC index answers without an NFA) never pay
-    for it.
+    — the cyclic constraint automaton and the stable cache digest — are
+    computed lazily and memoized, so engines that never need one (the
+    RLC index answers without an NFA) never pay for it.
 
     Engine-specific compiled artifacts (the RLC index adapter's
-    per-vertex hub lists, the sharded composite's per-shard
-    re-prepared constraints) live on the **engine**, in a bounded
+    per-vertex hub lists) live on the **engine**, in a bounded
     per-constraint table (:meth:`EngineBase.prepared_state_for`) — so
     two engines never read each other's memos and re-binding an engine
     to a new graph drops every memo at once.  Prepared queries are
@@ -146,7 +124,6 @@ class PreparedQuery:
         "engine",
         "_max_label",
         "_nfa",
-        "_rotations",
         "_digest",
     )
 
@@ -182,7 +159,6 @@ class PreparedQuery:
         self.engine = engine
         self._max_label = max(self.labels)
         self._nfa: Optional[Nfa] = None
-        self._rotations: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -205,18 +181,6 @@ class PreparedQuery:
         if self._nfa is None:
             self._nfa = constraint_automaton(self.labels)
         return self._nfa
-
-    @property
-    def rotations(self) -> Tuple[Tuple[int, ...], ...]:
-        """All rotations of ``L``: ``rotations[p] = L[p:] + L[:p]``.
-
-        Rotations of a primitive word are primitive, so each is itself
-        a valid RLC constraint — the decomposition boundary routing
-        evaluates shard-local segments with.
-        """
-        if self._rotations is None:
-            self._rotations = constraint_rotations(self.labels)
-        return self._rotations
 
     @property
     def digest(self) -> str:
@@ -248,7 +212,6 @@ class PreparedQuery:
             "constraint": self.constraint_text(),
             "m": self.m,
             "digest": self.digest,
-            "rotations": [list(rotation) for rotation in self.rotations],
             "engine": self.engine,
         }
 
@@ -274,8 +237,7 @@ class QueryOutcome:
     The boolean ``answer`` plus provenance: which engine produced it,
     which cache layer served it (``None`` when freshly evaluated,
     ``"lru"`` / ``"store"`` through a :class:`QueryService`), the
-    witness path when one was requested, the routing counters a
-    composite engine accumulated, and the evaluation wall time.
+    witness path when one was requested, and the evaluation wall time.
     Outcomes are truthy exactly when the answer is.
     """
 
@@ -286,7 +248,6 @@ class QueryOutcome:
     engine: str
     cache_layer: Optional[str] = None
     witness: Optional[WitnessPath] = None
-    routing: Mapping[str, int] = field(default_factory=dict)
     seconds: float = 0.0
 
     def __bool__(self) -> bool:
@@ -309,8 +270,6 @@ class QueryOutcome:
             "cached": self.cached,
             "seconds": self.seconds,
         }
-        if self.routing:
-            payload["routing"] = dict(self.routing)
         if self.witness is not None:
             vertices, labels = self.witness
             payload["witness"] = {
@@ -358,8 +317,8 @@ class ReachabilityEngine(Protocol):
 
     ``capabilities`` is a frozenset drawn from
     :data:`KNOWN_CAPABILITIES`; callers and the registry select engines
-    by feature (``"witness"``, ``"batch-grouped"``, ``"sharded"``,
-    ``"dynamic"``) instead of by name.
+    by feature (``"witness"``, ``"batch-grouped"``, ``"dynamic"``)
+    instead of by name.
     """
 
     name: str
@@ -433,9 +392,9 @@ class EngineBase:
         self._graph: Optional[EdgeLabeledDigraph] = None
         self._backend = None
         self._stats = EngineStats()
-        # Engines are read-only after prepare(), so concurrent callers
-        # (QueryService with workers > 1) only contend on the counters;
-        # this lock keeps their read-modify-write updates exact.
+        # Engines are read-only after prepare(), so callers sharing one
+        # engine across threads only contend on the counters; this lock
+        # keeps their read-modify-write updates exact.
         self._stats_lock = threading.Lock()
         # Engine-held per-constraint scratch keyed by the normalized
         # label tuple (see prepared_state_for).  Owning it here — not
@@ -468,9 +427,8 @@ class EngineBase:
             started = time.perf_counter()
             self._backend = self._prepare(target)
             self._graph = target
-            # Memos filled under a previous graph binding (hub lists,
-            # per-shard constraints) describe the old backend and must
-            # never be served again.
+            # Memos filled under a previous graph binding (hub lists)
+            # describe the old backend and must never be served again.
             self._prepared_state.clear()
             self._stats.prepare_seconds += time.perf_counter() - started
             return self
@@ -554,9 +512,8 @@ class EngineBase:
         past ``_PREPARED_STATE_LIMIT`` distinct constraints) and
         dropped entirely when :meth:`prepare` re-binds the graph.
         Adapters stash per-constraint compiled artifacts here
-        (hub-list memos, per-shard re-prepared constraints) — never on
-        the shared :class:`PreparedQuery` itself, which travels across
-        engines.
+        (hub-list memos) — never on the shared :class:`PreparedQuery`
+        itself, which travels across engines.
         """
         state = self._prepared_state.get(prepared.labels)
         if state is None:
@@ -618,13 +575,8 @@ class EngineBase:
         if not surface.has_vertex(target):
             raise QueryError(f"unknown target vertex: {target}")
         started = time.perf_counter()
-        result = self._answer_prepared(backend, source, target, prepared)
+        answer = bool(self._answer_prepared(backend, source, target, prepared))
         elapsed = time.perf_counter() - started
-        if type(result) is tuple:
-            answer, routing = result
-        else:
-            answer, routing = result, {}
-        answer = bool(answer)
         with self._stats_lock:
             self._stats.query_seconds += elapsed
             self._stats.queries += 1
@@ -640,7 +592,6 @@ class EngineBase:
             labels=prepared.labels,
             engine=self.name,
             witness=path,
-            routing=routing,
             seconds=elapsed,
         )
 
@@ -651,8 +602,7 @@ class EngineBase:
 
         The default falls back to :meth:`_answer` — correct for every
         engine, but it re-validates inside the backend; adapters with a
-        validation-free path override this.  May return a bare bool or
-        ``(bool, routing_counters_dict)``.
+        validation-free path override this.
         """
         return self._answer(backend, source, target, prepared.labels)
 

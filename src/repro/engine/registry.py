@@ -12,24 +12,20 @@ Replaces the hand-rolled per-engine dispatch that used to live in
 
 Beyond bare names, the registry parses **engine specs**::
 
-    spec    := name [":" inner] ["?" params]
+    spec    := name ["?" params]
     params  := key "=" value ("&" key "=" value)*
 
 - ``name`` is a registry key or alias (``rlc`` aliases ``rlc-index``);
-- ``:inner`` names an inner engine for composite engines and becomes
-  the ``inner`` constructor option (itself a spec, so composites nest);
 - ``?key=value`` pairs become constructor options with values coerced
-  to int/float/bool where they parse as one.  Params always bind to the
-  outermost engine, which forwards what its inner engine accepts.
+  to int/float/bool where they parse as one.
 
-So ``create_engine("sharded:rlc?parts=4", graph, k=2)`` builds a
-:class:`~repro.engine.composite.ShardedEngine` over four shards, each
-served by an RLC index with ``k=2``.
+So ``create_engine("rlc?k=3", graph)`` builds an RLC index with
+``k=3``.
 
 All engines shipped with the library register themselves when
-:mod:`repro.engine.adapters` / :mod:`repro.engine.composite` are
-imported (which the package ``__init__`` always does); external code
-can add its own with :func:`register`.
+:mod:`repro.engine.adapters` is imported (which the package
+``__init__`` always does); external code can add its own with
+:func:`register`.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from repro.engine.base import EngineBase
 
 __all__ = [
     "available_engines",
-    "construct_engine",
     "create_engine",
     "engine_capabilities",
     "engine_names",
@@ -107,9 +102,7 @@ def _coerce(value: str):
 def parse_engine_spec(spec: str) -> Tuple[str, Dict[str, object]]:
     """Split an engine spec into ``(base_name, options)``.
 
-    Grammar (module docstring): ``name[:inner][?key=value[&...]]``.
-    The inner part, when present, is returned as ``options["inner"]``
-    verbatim (it may itself be a spec).
+    Grammar (module docstring): ``name[?key=value[&...]]``.
     """
     text = spec.strip()
     options: Dict[str, object] = {}
@@ -125,11 +118,6 @@ def parse_engine_spec(spec: str) -> Tuple[str, Dict[str, object]]:
                     "(expected key=value)"
                 )
             options[key.strip()] = _coerce(value.strip())
-    if ":" in text:
-        text, _, inner = text.partition(":")
-        if not inner:
-            raise EngineError(f"engine spec {spec!r} has an empty inner engine")
-        options["inner"] = inner.strip()
     name = text.strip().lower()
     if not name:
         raise EngineError(f"engine spec {spec!r} has an empty engine name")
@@ -156,64 +144,34 @@ def resolve_engine_spec(
     more explicit request); the merged dict is what
     :func:`create_engine` passes to the constructor.
     """
-    key, spec_options = parse_engine_spec(spec)
-    cls = get_engine_class(key)
+    _, spec_options = parse_engine_spec(spec)
+    cls = get_engine_class(spec)
     merged = dict(options)
     merged.update(spec_options)
     return cls, merged
 
 
 def spec_parameter_names(spec: str) -> set:
-    """Named constructor parameters accepted anywhere in a spec's chain.
-
-    For flat specs this is the engine constructor's keyword parameters.
-    For composites, ``**kwargs`` means "forwarded to the inner engine",
-    so the chain is followed — through explicit ``:inner`` parts or the
-    constructor's declared ``inner`` default — down to the innermost
-    engine, and the union of all named parameters is returned.
-    """
-    names: set = set()
-    seen: set = set()
-    current: str = spec
-    while current is not None and current not in seen:
-        seen.add(current)
-        cls, options = resolve_engine_spec(current)
-        parameters = inspect.signature(cls.__init__).parameters
-        names.update(
-            name
-            for name, parameter in parameters.items()
-            if name != "self"
-            and parameter.kind
-            in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-        )
-        accepts_kwargs = any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
-        inner = options.get("inner")
-        if (
-            inner is None
-            and "inner" in parameters
-            and parameters["inner"].default is not inspect.Parameter.empty
-        ):
-            inner = parameters["inner"].default
-        current = str(inner) if (accepts_kwargs and inner) else None
-    return names
+    """Keyword parameters the constructor of a spec's engine accepts."""
+    parameters = inspect.signature(get_engine_class(spec).__init__).parameters
+    return {
+        name
+        for name, parameter in parameters.items()
+        if name != "self"
+        and parameter.kind
+        in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    }
 
 
 def filter_engine_options(spec: str, offered: Dict) -> Dict:
-    """Drop offered options nothing in the spec's engine chain accepts.
+    """Drop offered options the spec's engine constructor does not accept.
 
-    Lets callers (the CLI, the benchmark matrix) offer one option set
-    to every spec: ``None`` values and keywords no constructor in the
-    chain names are discarded, so ``k`` reaches ``sharded:rlc`` but is
-    dropped for ``sharded:bfs``.  This filtering is for *generic*
-    offers only — options passed explicitly (in a spec or as keyword
-    arguments) are forwarded verbatim and raise ``TypeError`` when
-    misspelled.
+    Lets callers (the CLI) offer one option set to every spec: ``None``
+    values and keywords the constructor does not name are discarded, so
+    ``k`` reaches ``rlc`` but is dropped for ``bfs``.  This filtering is
+    for *generic* offers only — options passed explicitly (in a spec or
+    as keyword arguments) are forwarded verbatim and raise ``TypeError``
+    when misspelled.
     """
     accepted = spec_parameter_names(spec)
     return {
@@ -223,38 +181,23 @@ def filter_engine_options(spec: str, offered: Dict) -> Dict:
     }
 
 
-def construct_engine(
-    cls: Type[EngineBase], options: Dict[str, object], spec_description: str
-) -> EngineBase:
-    """Call an engine constructor, naming the spec on a bad keyword.
-
-    The one home of the ``TypeError`` -> :class:`EngineOptionError`
-    translation: a constructor keyword the class does not accept is
-    re-raised with ``spec_description`` (``'bibfs?bogus=1'``, ``inner
-    engine spec 'bfs' of sharded engine``, ...) in the message, so a
-    bad spec is identifiable in a service log without a traceback.
-    Used by :func:`instantiate_engine` and the sharded composite's
-    per-shard builds.
-    """
-    try:
-        return cls(**options)
-    except TypeError as exc:
-        raise EngineOptionError(
-            f"{spec_description} with options "
-            f"{sorted(options)} does not fit {cls.__name__}: {exc}"
-        ) from exc
-
-
 def instantiate_engine(spec: str, **options) -> EngineBase:
     """Construct (without preparing) the engine a spec names.
 
-    A constructor keyword the engine chain does not accept raises
+    A constructor keyword the engine does not accept raises
     :class:`~repro.errors.EngineOptionError` — still a ``TypeError``,
     but the message names the offending spec string instead of a bare
-    ``__init__`` signature complaint.
+    ``__init__`` signature complaint, so a bad spec is identifiable in a
+    service log without a traceback.
     """
     cls, merged = resolve_engine_spec(spec, **options)
-    return construct_engine(cls, merged, f"engine spec {spec!r}")
+    try:
+        return cls(**merged)
+    except TypeError as exc:
+        raise EngineOptionError(
+            f"engine spec {spec!r} with options "
+            f"{sorted(merged)} does not fit {cls.__name__}: {exc}"
+        ) from exc
 
 
 def create_engine(name: str, graph: EdgeLabeledDigraph, **options) -> EngineBase:
@@ -264,8 +207,8 @@ def create_engine(name: str, graph: EdgeLabeledDigraph, **options) -> EngineBase
     for the RLC index and ETC, ``time_budget`` for ETC); an option the
     engine does not accept raises
     :class:`~repro.errors.EngineOptionError` (a ``TypeError`` subclass
-    that names the spec).  Spec parameters (``"sharded:rlc?parts=4"``)
-    override ``options``.
+    that names the spec).  Spec parameters (``"rlc?k=3"``) override
+    ``options``.
     """
     engine = instantiate_engine(name, **options)
     engine.prepare(graph)
@@ -280,9 +223,7 @@ def engine_names() -> Tuple[str, ...]:
 def engine_capabilities(name: str) -> FrozenSet[str]:
     """The capability flags the named engine class advertises.
 
-    Accepts a key, alias, or spec (a composite spec reports the
-    *outermost* engine's capabilities — ``sharded:bfs`` is sharded
-    whatever serves its shards).
+    Accepts a key, alias, or spec.
     """
     return frozenset(get_engine_class(name).capabilities)
 

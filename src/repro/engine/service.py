@@ -1,11 +1,11 @@
-"""A batching, caching, optionally concurrent query service.
+"""A batching, caching query service.
 
 :class:`QueryService` is the serving-layer entry point the ROADMAP's
 scaling work builds on: it executes workloads in fixed-size batches
 through an engine's ``query_batch`` (so engines with a real batched
-path — the RLC index, the traversal baselines, the sharded composite —
-amortize validation, NFA compilation and hub lookups), memoizes answers
-in a bounded LRU cache, keeps hit-rate and timing counters, and
+path — the RLC index and the traversal baselines — amortize
+validation, NFA compilation and hub lookups), memoizes answers in a
+bounded LRU cache, keeps hit-rate and timing counters, and
 verifies answers against the ground truth that workload files carry in
 :attr:`RlcQuery.expected`.
 
@@ -25,22 +25,12 @@ numpy ints) share one entry.  :meth:`query_outcome` returns the full
 :class:`~repro.engine.base.QueryOutcome` with the serving cache layer
 (``"lru"`` / ``"store"``) filled in; the bool-returning :meth:`query`
 is a shim over it.
-
-With ``workers > 1`` the uncached batches of a run execute on a thread
-pool.  This is safe because engines are read-only after ``prepare``
-(PR 1's contract) and :class:`~repro.engine.base.EngineBase` guards its
-counters with a lock; batches are sorted by constraint first so each
-one covers few distinct constraint groups (what the batched engine
-paths amortize) — and, through a sharded engine, routes to few shards.
-Answers are identical to a serial run: each distinct query key is still
-evaluated exactly once and scattered to every position that asked.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -119,10 +109,7 @@ class QueryService:
 
     ``cache_size`` bounds the LRU result cache (0 disables caching);
     ``batch_size`` bounds how many uncached queries are handed to the
-    engine per ``query_batch`` call; ``workers`` > 1 executes those
-    batches concurrently on a thread pool (engines are read-only after
-    ``prepare``, so the only shared mutable state is their locked
-    counters — see the module docstring).
+    engine per ``query_batch`` call.
 
     ``store``, when given, is a second cache layer **under** the LRU —
     anything with ``get(key) -> Optional[bool]`` / ``put(key, answer)``
@@ -141,19 +128,15 @@ class QueryService:
         *,
         cache_size: int = 4096,
         batch_size: int = 256,
-        workers: int = 1,
         store=None,
     ) -> None:
         if batch_size < 1:
             raise EngineError(f"batch_size must be >= 1, got {batch_size}")
         if cache_size < 0:
             raise EngineError(f"cache_size must be >= 0, got {cache_size}")
-        if workers < 1:
-            raise EngineError(f"workers must be >= 1, got {workers}")
         self._engine = engine
         self._cache_size = cache_size
         self._batch_size = batch_size
-        self._workers = workers
         self._store = store
         self._cache: "OrderedDict[CacheKey, bool]" = OrderedDict()
         self._prepared: Dict[Tuple, PreparedQuery] = {}
@@ -347,29 +330,13 @@ class QueryService:
                 group_of[key] = group
                 pending_groups.append(group)
             group.append(position)
-        if self._workers > 1:
-            # Order pending groups by constraint so each chunk covers
-            # few distinct constraint groups — the unit the engines'
-            # batched paths amortize (and, through a sharded engine,
-            # the unit routed per shard) — before fanning out.
-            pending_groups.sort(key=lambda positions: batch[positions[0]].labels)
-        chunks = [
-            pending_groups[start : start + self._batch_size]
-            for start in range(0, len(pending_groups), self._batch_size)
-        ]
-
-        def execute(chunk: List[List[int]]) -> List[bool]:
-            return self._engine.query_batch(
+        batches = 0
+        for start in range(0, len(pending_groups), self._batch_size):
+            chunk = pending_groups[start : start + self._batch_size]
+            chunk_answers = self._engine.query_batch(
                 [batch[positions[0]] for positions in chunk]
             )
-
-        if self._workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                chunk_results = list(pool.map(execute, chunks))
-        else:
-            chunk_results = [execute(chunk) for chunk in chunks]
-        # Cache writes and answer scatter stay on the calling thread.
-        for chunk, chunk_answers in zip(chunks, chunk_results):
+            batches += 1
             if len(chunk_answers) != len(chunk):
                 raise EngineError(
                     f"engine {self._engine.name!r} returned "
@@ -379,7 +346,6 @@ class QueryService:
                 self._cache_put(key_of[positions[0]], answer)
                 for position in positions:
                     answers[position] = answer
-        batches = len(chunks)
         seconds = time.perf_counter() - started
         self._hits += hits
         self._misses += misses
@@ -468,5 +434,5 @@ class QueryService:
         return (
             f"QueryService(engine={self._engine.name!r}, "
             f"cache={len(self._cache)}/{self._cache_size}, "
-            f"batch_size={self._batch_size}, workers={self._workers})"
+            f"batch_size={self._batch_size})"
         )

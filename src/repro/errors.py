@@ -51,7 +51,7 @@ class EngineOptionError(EngineError, TypeError):
     Subclasses :class:`TypeError` because that is what a misspelled
     keyword raises on a direct constructor call — ``except TypeError``
     sites keep working — while the message names the offending **spec
-    string** (``sharded:rlc?parts=x`` rather than a bare ``__init__()
+    string** (``bibfs?bogus=1`` rather than a bare ``__init__()
     got an unexpected keyword argument``), so a bad spec is
     identifiable in a service log without a traceback.
     """

@@ -15,10 +15,7 @@ subpackage provides:
   copying-model generators with Zipfian labels, plus the paper's
   running-example graphs (Fig. 1 and Fig. 2);
 - :mod:`repro.graph.datasets` — deterministic synthetic stand-ins for
-  the 13 real-world graphs of Table III;
-- :mod:`repro.graph.partition` — weakly-connected-component sharding
-  with per-shard induced subgraphs (the substrate of the partitioned
-  engine layer in :mod:`repro.engine.composite`).
+  the 13 real-world graphs of Table III.
 """
 
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -33,32 +30,20 @@ from repro.graph.io import (
 from repro.graph.stats import GraphStats, compute_stats
 from repro.graph import datasets, generators
 from repro.graph.paths import is_path, path_labels, random_walk
-from repro.graph.partition import (
-    GraphPartition,
-    GraphShard,
-    disjoint_union,
-    partition_graph,
-    weakly_connected_components,
-)
 
 __all__ = [
     "EdgeLabeledDigraph",
     "GraphBuilder",
-    "GraphPartition",
-    "GraphShard",
     "GraphStats",
     "compute_stats",
     "datasets",
-    "disjoint_union",
     "generators",
     "is_path",
     "load_graph",
     "load_graph_npz",
-    "partition_graph",
     "path_labels",
     "random_walk",
     "read_edge_list",
     "save_graph_npz",
-    "weakly_connected_components",
     "write_edge_list",
 ]

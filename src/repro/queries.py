@@ -157,7 +157,7 @@ def group_queries_by_constraint(
     """Group query positions by distinct constraint, validating once each.
 
     The common scaffold of the grouped batched paths (the traversal
-    baselines, ETC, the sharded composite): per distinct constraint the
+    baselines and ETC): per distinct constraint the
     full :func:`validate_rlc_query` runs once — through the group's
     first query — and the remaining queries only pay endpoint checks,
     so a malformed batch raises exactly the errors its point queries

@@ -183,6 +183,16 @@ class TestQueryEndpoint:
         assert status == 400
         assert "unknown engine" in body["error"]
 
+    @pytest.mark.parametrize("spec", ["sharded:rlc", "rlc:bfs"])
+    def test_composite_engine_spec_is_400(self, server, spec):
+        status, body = post(
+            server,
+            "/query",
+            {"source": 0, "target": 1, "labels": [0], "engine": spec},
+        )
+        assert status == 400
+        assert f"unknown engine '{spec}'" in body["error"]
+
     def test_non_json_body_is_400(self, server):
         request = urllib.request.Request(
             server.url + "/query", data=b"not json", method="POST"
@@ -200,7 +210,7 @@ class TestPrepareEndpoint:
         assert status == 200
         assert body["labels"] == [0, 1]
         assert body["m"] == 2
-        assert body["rotations"] == [[0, 1], [1, 0]]
+        assert "rotations" not in body
         assert body["engine"] == "rlc-index"
         assert (
             body["digest"]
@@ -256,7 +266,7 @@ class TestBatchEndpoint:
             for q in workload
         ]
         status, body = post(
-            server, "/batch", {"queries": queries, "engine": "sharded:bfs"}
+            server, "/batch", {"queries": queries, "engine": "bibfs"}
         )
         assert status == 200 and body["ok"] is True
 

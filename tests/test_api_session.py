@@ -80,7 +80,7 @@ class TestEngineMemoization:
 class TestParityWithFlatService:
     """Acceptance: the facade answers byte-identically to QueryService."""
 
-    @pytest.mark.parametrize("spec", ["rlc-index", "bibfs", "sharded:rlc?parts=3"])
+    @pytest.mark.parametrize("spec", ["rlc-index", "bibfs", "rlc?k=3"])
     def test_run_matches_flat_service(self, spec, random_graph, random_workload):
         from repro.engine import filter_engine_options
 

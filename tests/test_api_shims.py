@@ -1,4 +1,8 @@
-"""Deprecation shims for the pre-facade top-level import paths."""
+"""The top-level package exposes its facade only, with no import shims.
+
+The engine layer is imported from :mod:`repro.engine`; ``repro`` itself
+no longer resolves engine-layer names through a deprecation hook.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +11,13 @@ import warnings
 import pytest
 
 import repro
-from repro.graph.generators import paper_figure2
-from repro.workloads import generate_workload
 
 
-DEPRECATED = (
+RETIRED = (
     "EngineStats",
     "QueryService",
     "ReachabilityEngine",
     "ServiceReport",
-    "ShardedEngine",
     "available_engines",
     "create_engine",
     "engine_names",
@@ -24,29 +25,6 @@ DEPRECATED = (
 
 
 class TestShimsWarn:
-    @pytest.mark.parametrize("name", DEPRECATED)
-    def test_access_warns_and_resolves_to_the_engine_layer(self, name):
-        import repro.engine
-
-        with pytest.warns(DeprecationWarning, match=f"importing {name!r}"):
-            shimmed = getattr(repro, name)
-        assert shimmed is getattr(repro.engine, name)
-
-    def test_each_name_warns_exactly_once_per_process(self):
-        # Self-contained (no reliance on sibling-test ordering): warm
-        # every name — the first-ever access per name warns, any prior
-        # access from other tests already consumed it — then assert a
-        # further access stays silent.  The shims are a migration aid,
-        # not a log-spam generator.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in DEPRECATED:
-                getattr(repro, name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for name in DEPRECATED:
-                assert getattr(repro, name) is not None
-
     def test_canonical_engine_imports_stay_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -60,61 +38,13 @@ class TestShimsWarn:
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             repro.no_such_name
-
-    def test_dir_lists_deprecated_names(self):
-        listed = dir(repro)
-        for name in DEPRECATED:
-            assert name in listed
+        for name in RETIRED:
+            assert name not in dir(repro)
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
 
     def test_all_names_resolve(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             for name in repro.__all__:
                 assert getattr(repro, name) is not None, name
-
-
-class TestShimsStillAnswer:
-    """The shims are deprecated, not broken: full pipeline still works."""
-
-    def test_shimmed_service_answers_a_workload(self):
-        graph = paper_figure2()
-        workload = generate_workload(
-            graph, 2, num_true=5, num_false=5, seed=7, graph_name="fig2"
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            engine = repro.create_engine("rlc-index", graph, k=2)
-            report = repro.QueryService(engine).run(workload)
-        assert report.ok and report.total == 10
-
-    def test_shimmed_bool_paths_round_trip_through_query_prepared(self):
-        # The deprecated bool-returning entry points are shims over the
-        # prepared protocol: the answers they produce are exactly what
-        # prepare()/query_prepared() return underneath.
-        graph = paper_figure2()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            engine = repro.create_engine("rlc-index", graph, k=2)
-            service = repro.QueryService(engine)
-        prepared = engine.prepare_query((1, 0))
-        for source in range(graph.num_vertices):
-            for target in range(graph.num_vertices):
-                outcome = engine.query_prepared(prepared, source, target)
-                assert service.query(source, target, (1, 0)) == outcome.answer
-                assert (
-                    engine.query(repro.RlcQuery(source, target, (1, 0)))
-                    == outcome.answer
-                )
-
-    def test_shimmed_sharded_engine_matches_session(self):
-        graph = paper_figure2()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            engine = repro.ShardedEngine(inner="bfs").prepare(graph)
-        with repro.Session(graph) as session:
-            for source in range(3):
-                for target in range(3):
-                    query = repro.RlcQuery(source, target, (1, 0))
-                    assert engine.query(query) == session.query(
-                        source, target, (1, 0), engine="sharded:bfs"
-                    )

@@ -96,12 +96,12 @@ class TestEngineCommands:
     def test_engines_lists_registry(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        for key in ("rlc-index", "bfs", "bibfs", "dfs", "etc", "sharded",
+        for key in ("rlc-index", "bfs", "bibfs", "dfs", "etc",
                     "sys1", "sys2", "virtuoso-sim"):
             assert key in out
         assert "RLC" in out
         # The spec grammar is documented next to the table.
-        assert "sharded:rlc?parts=4" in out
+        assert "name[?key=value&...]" in out
 
     def test_run_reports_service_counters(self, tmp_path, capsys):
         from repro.graph import datasets
@@ -173,44 +173,6 @@ class TestEngineCommands:
         assert main(["bench", str(fig2_file), str(workload_path), "--engine", engine]) == 0
         out = capsys.readouterr().out
         assert f"prepared {engine}" in out and "0 wrong answers" in out
-
-    def test_bench_sharded_spec(self, tmp_path, capsys):
-        from repro.graph.generators import labeled_erdos_renyi
-        from repro.graph.partition import disjoint_union
-
-        graph = disjoint_union(
-            [labeled_erdos_renyi(15, 3.0, 2, seed=s) for s in range(3)]
-        )
-        graph_path = tmp_path / "multi.txt"
-        write_edge_list(graph, graph_path)
-        workload_path = tmp_path / "w.txt"
-        main(["workload", str(graph_path), "-k", "2", "--true-queries", "5",
-              "--false-queries", "5", "-o", str(workload_path)])
-        capsys.readouterr()
-        assert main([
-            "bench", str(graph_path), str(workload_path),
-            "--engine", "sharded:rlc?parts=2", "--workers", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "prepared sharded:rlc?parts=2" in out
-        assert "partition: 2 shards" in out
-        assert "0 wrong answers" in out
-
-    def test_run_accepts_workers(self, tmp_path, capsys):
-        from repro.graph import datasets
-        from repro.graph.io import save_graph_npz
-
-        graph_path = tmp_path / "ad.npz"
-        save_graph_npz(datasets.load_dataset("AD", scale=0.2), graph_path)
-        workload_path = tmp_path / "w.txt"
-        index_path = tmp_path / "i.npz"
-        main(["workload", str(graph_path), "-k", "2", "--true-queries", "5",
-              "--false-queries", "5", "-o", str(workload_path)])
-        main(["build", str(graph_path), "-o", str(index_path)])
-        capsys.readouterr()
-        assert main(["run", str(index_path), str(workload_path),
-                     "--workers", "4", "--batch-size", "2"]) == 0
-        assert "0 wrong answers" in capsys.readouterr().out
 
     def test_bench_unknown_engine_is_error(self, fig2_file, tmp_path, capsys):
         workload_path = tmp_path / "w.txt"

@@ -174,8 +174,9 @@ class TestEdgeCaseGraphs:
         assert index.query(0, 1, (0,)) is True
 
     def test_long_chain_completeness(self):
-        # The regression scenario for the PR3 direction (DESIGN.md):
-        # a uniform chain must stay fully reachable under (a)+.
+        # The regression scenario for the PR3 direction (see the
+        # repro.core.builder docstring): a uniform chain must stay fully
+        # reachable under (a)+.
         n = 12
         graph = EdgeLabeledDigraph(
             n, [(i, 0, i + 1) for i in range(n - 1)], num_labels=1

@@ -53,13 +53,6 @@ class TestDocstringGuard:
         assert "repro._guard_probe.Naked" in missing
         assert "repro._guard_probe.Naked.method" in missing
 
-    def test_generated_reference_covers_routing_classes(self):
-        text = gen_api_docs.generate()
-        assert "## module `repro.engine.routing`" in text
-        assert "### class `BoundaryRouter`" in text
-        assert "### class `GraphPartition`" in text
-        assert "boundary_vertices" in text
-
 
 class TestLinkChecker:
     def test_repo_docs_have_no_broken_links(self):
@@ -95,7 +88,9 @@ class TestLinkChecker:
 
     def test_github_slugs(self):
         assert check_links.github_slug("Spec grammar") == "spec-grammar"
-        assert check_links.github_slug("`edge-cut` — lossy") == "edge-cut--lossy"
+        assert check_links.github_slug("`query-batch` — grouped") == (
+            "query-batch--grouped"
+        )
         assert check_links.github_slug("What it costs, what it buys") == (
             "what-it-costs-what-it-buys"
         )

@@ -8,7 +8,6 @@ from repro.engine import (
     EngineBase,
     ReachabilityEngine,
     RlcIndexEngine,
-    ShardedEngine,
     available_engines,
     create_engine,
     engine_names,
@@ -22,14 +21,13 @@ from repro.errors import BudgetExceededError, EngineError
 from repro.queries import RlcQuery
 
 ALL_ENGINES = (
-    "bfs", "bibfs", "dfs", "etc", "rlc-index", "sharded", "sys1", "sys2",
-    "virtuoso-sim",
+    "bfs", "bibfs", "dfs", "etc", "rlc-index", "sys1", "sys2", "virtuoso-sim",
 )
 NEEDS_K = {"rlc-index": {"k": 2}, "etc": {"k": 2}}
 
 
 class TestRegistry:
-    def test_all_nine_answerers_registered(self):
+    def test_all_eight_answerers_registered(self):
         assert engine_names() == ALL_ENGINES
 
     @pytest.mark.parametrize("name", ALL_ENGINES)
@@ -66,7 +64,6 @@ class TestRegistry:
         assert [key for key, _, _ in rows] == list(ALL_ENGINES)
         by_key = {key: (label, doc) for key, label, doc in rows}
         assert by_key["rlc-index"][0] == "RLC"
-        assert by_key["sharded"][0] == "Sharded"
         assert all(doc for _, doc in by_key.values())
 
 
@@ -74,43 +71,38 @@ class TestSpecs:
     def test_bare_name(self):
         assert parse_engine_spec("bibfs") == ("bibfs", {})
 
-    def test_inner_and_params(self):
-        name, options = parse_engine_spec("sharded:rlc?parts=4&method=wcc")
-        assert name == "sharded"
-        assert options == {"inner": "rlc", "parts": 4, "method": "wcc"}
+    def test_name_and_params(self):
+        name, options = parse_engine_spec("RLC?k=4&ordering=degree")
+        assert name == "rlc"
+        assert options == {"k": 4, "ordering": "degree"}
 
     def test_param_value_coercion(self):
         _, options = parse_engine_spec("etc?k=3&time_budget=0.5&flag=true&s=x")
         assert options == {"k": 3, "time_budget": 0.5, "flag": True, "s": "x"}
 
-    def test_nested_inner_spec_kept_verbatim(self):
-        name, options = parse_engine_spec("sharded:sharded:bfs?parts=2")
-        assert name == "sharded"
-        assert options["inner"] == "sharded:bfs"
-        assert options["parts"] == 2
-
     def test_malformed_param_rejected(self):
         with pytest.raises(EngineError, match="key=value"):
-            parse_engine_spec("sharded:rlc?parts")
+            parse_engine_spec("rlc?k")
 
-    def test_empty_inner_rejected(self):
-        with pytest.raises(EngineError, match="empty inner"):
-            parse_engine_spec("sharded:?parts=2")
+    @pytest.mark.parametrize("spec", ["sharded:rlc", "rlc:bfs"])
+    def test_composite_specs_rejected(self, spec, fig2):
+        with pytest.raises(EngineError, match=f"unknown engine '{spec}'"):
+            create_engine(spec, fig2)
 
     def test_get_engine_class_accepts_specs(self):
-        assert get_engine_class("sharded:rlc?parts=4") is ShardedEngine
+        assert get_engine_class("rlc-index?k=4") is RlcIndexEngine
         assert get_engine_class("rlc") is RlcIndexEngine  # alias
 
     def test_resolve_merges_spec_over_kwargs(self):
-        cls, options = resolve_engine_spec("sharded:bfs?parts=2", parts=9, k=2)
-        assert cls is ShardedEngine
-        assert options["parts"] == 2  # spec wins
-        assert options["k"] == 2
+        cls, options = resolve_engine_spec("etc?k=3", k=2, time_budget=1.0)
+        assert cls is get_engine_class("etc")
+        assert options["k"] == 3  # spec wins
+        assert options["time_budget"] == 1.0
 
     def test_create_engine_from_spec(self, fig2):
-        engine = create_engine("sharded:bibfs?parts=1", fig2)
-        assert engine.name == "sharded"
-        assert engine.inner_spec == "bibfs"
+        engine = create_engine("rlc?k=3", fig2)
+        assert engine.name == "rlc-index"
+        assert engine.k == 3
         assert engine.query(RlcQuery(2, 5, (1, 0))) is True
 
     def test_alias_resolves_everywhere_but_is_not_listed(self, fig2):
@@ -127,15 +119,14 @@ class TestSpecs:
     def test_realiasing_same_target_is_idempotent(self):
         register_alias("rlc", "rlc-index")  # already bound to the same target
 
-    def test_filter_options_follows_inner_chain(self):
+    def test_filter_options_follows_constructor(self):
         from repro.engine import filter_engine_options
 
         offered = {"k": 2, "time_budget": None, "bogus": 1}
         assert filter_engine_options("rlc", offered) == {"k": 2}
-        assert filter_engine_options("sharded:rlc?parts=2", offered) == {"k": 2}
-        assert filter_engine_options("sharded", offered) == {"k": 2}  # default inner
-        assert filter_engine_options("sharded:bfs", offered) == {}
-        assert filter_engine_options("sharded:sharded:etc", offered) == {"k": 2}
+        assert filter_engine_options("rlc-index?k=3", offered) == {"k": 2}
+        assert filter_engine_options("bfs", offered) == {}
+        assert filter_engine_options("etc", offered) == {"k": 2}
 
 
 class TestEngineLifecycle:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.engine import QueryService, RlcIndexEngine, ServiceReport, create_engine
@@ -130,8 +132,6 @@ class TestCache:
             QueryService(engine, batch_size=0)
         with pytest.raises(EngineError):
             QueryService(engine, cache_size=-1)
-        with pytest.raises(EngineError):
-            QueryService(engine, workers=0)
 
 
 class TestReportEdgeCases:
@@ -170,58 +170,6 @@ class TestReportEdgeCases:
         assert QueryService(engine).counters()["hit_rate"] == 0.0
 
 
-class TestConcurrency:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_concurrent_run_matches_serial(self, fig2, workload, workers):
-        serial = QueryService(
-            create_engine("bfs", fig2), batch_size=2, cache_size=0
-        ).run(workload)
-        concurrent = QueryService(
-            create_engine("bfs", fig2), batch_size=2, cache_size=0,
-            workers=workers,
-        ).run(workload)
-        assert concurrent.answers == serial.answers
-        assert concurrent.ok and serial.ok
-        assert concurrent.batches == serial.batches
-
-    def test_concurrent_run_shares_one_engine_and_counts_exactly(self, fig2):
-        engine = create_engine("bfs", fig2)
-        queries = [
-            RlcQuery(source, target, (1, 0))
-            for source in range(fig2.num_vertices)
-            for target in range(fig2.num_vertices)
-        ]
-        report = QueryService(
-            engine, batch_size=4, cache_size=0, workers=4
-        ).run(queries, verify=False)
-        assert report.total == len(queries)
-        # The locked counters lose no updates under the thread pool.
-        stats = engine.stats()
-        assert stats.batched_queries == len(queries)
-        assert stats.batches == report.batches
-
-    def test_concurrent_duplicates_still_collapse(self, engine):
-        query = RlcQuery(2, 5, (1, 0), expected=True)
-        report = QueryService(engine, workers=4).run([query] * 10)
-        assert report.ok and report.answers == [True] * 10
-        assert engine.stats().batched_queries == 1
-
-    def test_concurrent_chunks_sorted_by_constraint(self, fig2):
-        # Queries arrive with interleaved constraints; with workers > 1
-        # the service reorders pending groups so each chunk covers few
-        # constraint groups.  Answers keep workload order regardless.
-        engine = create_engine("bfs", fig2)
-        interleaved = []
-        for source in range(4):
-            interleaved.append(RlcQuery(source, 5, (1, 0)))
-            interleaved.append(RlcQuery(source, 5, (0,)))
-        serial = [create_engine("bfs", fig2).query(q) for q in interleaved]
-        report = QueryService(engine, batch_size=4, workers=2).run(
-            interleaved, verify=False
-        )
-        assert report.answers == serial
-
-
 class TestAcrossEngines:
     @pytest.mark.parametrize("name", ["bfs", "bibfs", "dfs", "sys2"])
     def test_service_is_engine_agnostic(self, name, fig2, workload):
@@ -240,3 +188,59 @@ class TestAcrossEngines:
         assert [q for chunk in chunks for q in chunk] == list(workload)
         with pytest.raises(ValueError):
             next(workload.batched(0))
+
+
+def _run_concurrently(engine, workloads, **service_options):
+    """Run one workload per thread, each through its own service.
+
+    The services share ``engine``: engines are read-only after
+    ``prepare()``, so only their locked counters see contention.
+    Reports come back in workload order.
+    """
+    with ThreadPoolExecutor(max_workers=len(workloads)) as pool:
+        futures = [
+            pool.submit(
+                QueryService(engine, **service_options).run, workload, verify=False
+            )
+            for workload in workloads
+        ]
+        return [future.result() for future in futures]
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_concurrent_run_matches_serial(self, fig2, workload, threads):
+        serial = QueryService(
+            create_engine("bfs", fig2), batch_size=2, cache_size=0
+        ).run(workload)
+        reports = _run_concurrently(
+            create_engine("bfs", fig2), [workload] * threads,
+            batch_size=2, cache_size=0,
+        )
+        assert serial.ok
+        for report in reports:
+            assert report.answers == serial.answers
+            assert report.batches == serial.batches
+
+    def test_concurrent_run_shares_one_engine_and_counts_exactly(self, fig2):
+        engine = create_engine("bfs", fig2)
+        queries = [
+            RlcQuery(source, target, (1, 0))
+            for source in range(fig2.num_vertices)
+            for target in range(fig2.num_vertices)
+        ]
+        reports = _run_concurrently(
+            engine, [queries] * 4, batch_size=4, cache_size=0
+        )
+        assert all(report.total == len(queries) for report in reports)
+        # The locked counters lose no updates across threads.
+        stats = engine.stats()
+        assert stats.batched_queries == 4 * len(queries)
+        assert stats.batches == sum(report.batches for report in reports)
+
+    def test_concurrent_duplicates_still_collapse(self, engine):
+        query = RlcQuery(2, 5, (1, 0), expected=True)
+        reports = _run_concurrently(engine, [[query] * 10] * 4)
+        assert all(report.answers == [True] * 10 for report in reports)
+        # Each run evaluates its duplicated query once.
+        assert engine.stats().batched_queries == 4

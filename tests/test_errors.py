@@ -43,14 +43,8 @@ class TestPublicApi:
         assert repro.__version__ == "1.4.0"
 
     def test_all_symbols_resolvable(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            # The pre-facade engine re-exports resolve through a
-            # DeprecationWarning shim; resolvability is what's under test.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in repro.__all__:
-                assert getattr(repro, name) is not None, name
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
 
     def test_quickstart_from_module_docstring(self):
         """The __init__ docstring example must actually work."""

@@ -3,14 +3,14 @@
 Covers the PR-5 API redesign end to end:
 
 - :class:`PreparedQuery` compilation artifacts (normalization, NFA,
-  rotation set, digest stability);
+  digest stability);
 - randomized parity between ``query_prepared`` and the legacy bool
-  path for every registry engine plus sharded composites;
+  path for every registry engine;
 - witness-path validity for every engine advertising the ``witness``
   capability: the returned path must be a real path of the graph whose
   label sequence is a power of the constraint;
 - :class:`QueryOutcome` provenance through the service layer (cache
-  layer attribution, routing counters, prepared-constraint digests);
+  layer attribution, prepared-constraint digests);
 - capability-based engine selection and the error taxonomy
   (:class:`EngineOptionError` naming the spec, ``CapabilityError``
   naming the engine).
@@ -43,11 +43,10 @@ from repro.queries import RlcQuery
 from tests.helpers import all_primitive_constraints, brute_force_rlc, random_graph
 
 FLAT_ENGINES = ("rlc-index", "bfs", "bibfs", "dfs", "etc", "sys1", "sys2", "virtuoso-sim")
-SHARDED_SPECS = ("sharded:bfs", "sharded:rlc-index")
 
 
 def build(spec: str, graph, k: int = 2):
-    """Create an engine, passing k only where the chain accepts it."""
+    """Create an engine, passing k only where its constructor accepts it."""
     from repro.engine import filter_engine_options
 
     return create_engine(spec, graph, **filter_engine_options(spec, {"k": k}))
@@ -72,7 +71,6 @@ class TestPreparedQueryObject:
         prepared = engine.prepare_query([1, 0])
         assert prepared.labels == (1, 0)
         assert prepared.m == 2
-        assert prepared.rotations == ((1, 0), (0, 1))
         assert prepared.nfa is prepared.nfa  # memoized
         assert prepared.constraint_text() == "(1, 0)+"
 
@@ -141,7 +139,7 @@ class TestCapabilities:
 
     def test_selection_by_feature(self):
         assert "rlc-index" in engines_with_capabilities("witness", "batch-grouped")
-        assert engines_with_capabilities("sharded") == ("sharded",)
+        assert engines_with_capabilities("dynamic") == ()
         for name in ("sys1", "sys2", "virtuoso-sim"):
             assert name not in engines_with_capabilities("batch-grouped")
 
@@ -150,7 +148,9 @@ class TestCapabilities:
             engines_with_capabilities("telepathy")
 
     def test_spec_reports_outermost_capabilities(self):
-        assert "sharded" in engine_capabilities("sharded:bfs?parts=2")
+        # A spec's parameters configure the engine, not its features.
+        assert engine_capabilities("rlc?k=3") == engine_capabilities("rlc-index")
+        assert "batch-grouped" in engine_capabilities("rlc?k=3")
 
     def test_unknown_declaration_fails_at_class_definition(self):
         from repro.engine.base import EngineBase
@@ -165,7 +165,7 @@ class TestCapabilities:
 class TestPreparedParity:
     """Prepared answers match the legacy bool path on random graphs."""
 
-    @pytest.mark.parametrize("spec", FLAT_ENGINES + SHARDED_SPECS)
+    @pytest.mark.parametrize("spec", FLAT_ENGINES)
     def test_prepared_matches_legacy_and_oracle(self, spec):
         checked = 0
         for seed in range(6):
@@ -186,7 +186,7 @@ class TestPreparedParity:
 
     def test_prepared_reusable_across_engines(self, fig2):
         prepared = create_engine("rlc-index", fig2, k=2).prepare_query((1, 0))
-        for spec in ("bfs", "bibfs", "dfs", "sharded:bfs"):
+        for spec in ("bfs", "bibfs", "dfs"):
             engine = create_engine(spec, fig2)
             assert engine.query_prepared(prepared, 2, 5).answer is True
             assert engine.query_prepared(prepared, 0, 2).answer is False
@@ -233,10 +233,7 @@ class TestPreparedParity:
 class TestWitnessParity:
     """Every witness-capable engine returns genuinely path-valid witnesses."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        tuple(engines_with_capabilities("witness")) + SHARDED_SPECS,
-    )
+    @pytest.mark.parametrize("spec", engines_with_capabilities("witness"))
     def test_witnesses_are_real_paths(self, spec):
         verified = 0
         for seed in range(5):
@@ -311,13 +308,6 @@ class TestServiceOutcomes:
         assert outcome.cache_layer == "lru"
         assert_witness_valid(fig2, 2, 5, (1, 0), outcome.witness)
 
-    def test_sharded_routing_counters_flow_into_outcome(self):
-        graph = random_graph(3, max_vertices=8)
-        engine = build("sharded:bfs", graph)
-        service = QueryService(engine)
-        outcome = service.query_outcome(0, 1, (0,))
-        assert "cross_shard" in outcome.routing
-
     def test_service_prepare_is_memoized(self, fig2):
         service = QueryService(create_engine("bfs", fig2))
         assert service.prepare((1, 0)) is service.prepare([1, 0])
@@ -351,52 +341,14 @@ class TestServiceOutcomes:
         assert not engine.query_prepared(engine.prepare_query((0,)), 0, 2)
 
 
-class TestRouterMemo:
-    def test_repeated_constraint_stops_rewalking_the_product(self):
-        # A single-WCC graph so edge-cut sharding actually cuts edges.
-        from tests.test_boundary_routing import single_wcc_graph
-
-        graph = single_wcc_graph(num_vertices=14, seed=5)
-        engine = build("sharded:rlc-index?method=edge-cut&parts=3", graph)
-        prepared = engine.prepare_query((0, 1))
-        pairs = [
-            (source, target)
-            for source in range(0, graph.num_vertices, 3)
-            for target in range(1, graph.num_vertices, 4)
-        ]
-        cold = [engine.query_prepared(prepared, s, t).answer for s, t in pairs]
-        hops_after_cold = engine.stats().extra["boundary_hops"]
-        warm = [engine.query_prepared(prepared, s, t).answer for s, t in pairs]
-        assert warm == cold
-        stats = engine.stats()
-        assert stats.extra["router_memo_hits"] > 0
-        # The warm pass pays only the source-specific expansion — the
-        # hub-product walk is served from the per-constraint memo, so
-        # it explores strictly fewer fresh hops than the cold pass did.
-        warm_delta = stats.extra["boundary_hops"] - hops_after_cold
-        assert warm_delta < hops_after_cold
-
-
 class TestErrorTaxonomy:
     def test_engine_option_error_names_the_spec(self, fig2):
-        # Options the outermost constructor rejects name the full spec ...
+        # Options the constructor rejects name the full spec ...
         with pytest.raises(EngineOptionError, match="'bibfs[?]bogus_option=1'"):
             create_engine("bibfs?bogus_option=1", fig2)
-        # ... options forwarded to a composite's inner engine name the
-        # inner spec and the offending option ...
-        with pytest.raises(
-            EngineOptionError, match="inner engine spec 'bfs'.*bogus_option"
-        ):
-            create_engine("sharded:bfs?bogus_option=1", fig2)
-        # ... and both remain TypeErrors for legacy except-sites.
+        # ... and remain TypeErrors for legacy except-sites.
         with pytest.raises(TypeError):
             create_engine("bfs", fig2, k=2)
-
-    def test_inner_spec_named_for_sharded_option_errors(self, fig2):
-        from repro.engine import ShardedEngine
-
-        with pytest.raises(EngineOptionError, match="inner engine spec 'bfs'"):
-            ShardedEngine(inner="bfs", k=2).prepare(fig2)
 
     def test_unknown_label_message_names_label_and_universe(self, fig2):
         engine = create_engine("bfs", fig2)

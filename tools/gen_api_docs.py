@@ -15,10 +15,9 @@ Two guards make the script a CI gate (the ``docs-check`` job):
 - the public facade packages must never drop out of the reference
   silently (e.g. a skipped package or a swallowed import error);
 - every public symbol — and every public method/property of a public
-  class — in the *documentation-guarded* modules (the partition layer
-  and the composite/routing engines, whose soundness story lives in
-  prose) must carry a docstring, or the script exits non-zero listing
-  the offenders.
+  class — in the *documentation-guarded* module (the engine contract
+  every answerer implements) must carry a docstring, or the script
+  exits non-zero listing the offenders.
 """
 
 from __future__ import annotations
@@ -38,12 +37,7 @@ SKIP_MODULES = {"repro.__main__"}
 
 # Modules whose public surface must be fully docstring-covered; missing
 # docstrings fail CI rather than silently producing empty doc entries.
-DOCSTRING_GUARDED = (
-    "repro.graph.partition",
-    "repro.engine.base",
-    "repro.engine.composite",
-    "repro.engine.routing",
-)
+DOCSTRING_GUARDED = ("repro.engine.base",)
 
 
 def first_paragraph(doc: str) -> str:
@@ -152,9 +146,8 @@ def generate() -> str:
         "",
         "Generated by `python tools/gen_api_docs.py` — do not edit by hand.",
         "",
-        "Prose companions: [ARCHITECTURE.md](ARCHITECTURE.md) (layer map and",
-        "soundness arguments) and [SHARDING.md](SHARDING.md) (partition",
-        "methods and boundary-hub routing).",
+        "Prose companion: [ARCHITECTURE.md](ARCHITECTURE.md) (layer map and",
+        "query lifecycle).",
         "",
     ]
     for module in iter_modules():
