@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines import NfaBfs, NfaBiBfs
 from repro.bench.experiments import experiment_fig3
+from repro.queries import RlcQuery, validate_rlc_query
 
 if __package__ in (None, ""):  # direct execution: make `benchmarks` importable
     import pathlib
@@ -74,7 +75,15 @@ def test_rlc_index_false_queries(benchmark, ad_workload):
 
 def test_rlc_index_fast_variant(benchmark, ad_workload):
     index = dataset_index("AD")
-    benchmark(_run_set, index.query_fast, list(ad_workload))
+    validated = [
+        RlcQuery(
+            q.source,
+            q.target,
+            validate_rlc_query(index, q.source, q.target, q.labels, k=index.k),
+        )
+        for q in ad_workload
+    ]
+    benchmark(_run_set, index.query_mr, validated)
 
 
 def main() -> None:

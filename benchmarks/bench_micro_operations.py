@@ -14,6 +14,7 @@ import pytest
 from repro.automata.compile import constraint_automaton
 from repro.baselines import NfaBfs
 from repro.labels.minimum_repeat import minimum_repeat
+from repro.queries import validate_rlc_query
 
 if __package__ in (None, ""):  # direct execution: make `benchmarks` importable
     import pathlib
@@ -48,7 +49,8 @@ def test_index_query_hub_lookup(benchmark):
     index = dataset_index("EP")
     workload = dataset_workload("EP", num_queries=50)
     query = workload.true_queries[0]
-    benchmark(index.query_fast, query.source, query.target, query.labels)
+    mr = validate_rlc_query(index, query.source, query.target, query.labels, k=index.k)
+    benchmark(index.query_mr, query.source, query.target, mr)
 
 
 def test_index_query_false(benchmark):
@@ -76,7 +78,7 @@ def _shared_constraint_queries(num_queries: int = 1000):
 
     Cycles the endpoint pairs of the EP workload through its four most
     frequent constraints — the shape batched execution amortizes
-    (constraint validated once, hub lists reused across the group).
+    (each distinct constraint validated once per batch).
     """
     from collections import Counter
 
@@ -172,8 +174,8 @@ def test_prepared_reuse_beats_per_call_compilation():
     fails the benchmark smoke run (the CI ``prepared-parity`` job):
     preparing each distinct constraint once and re-using it across a
     1000-query shared-constraint workload is >= 1.3x faster than the
-    legacy ``query()`` shim, which re-compiles (validation, rotation
-    set, per-constraint state) on every call.  Answers identical.
+    legacy ``query()`` shim, which re-validates the constraint on every
+    call.  Answers identical.
     """
     import time
 

@@ -70,7 +70,9 @@ def main() -> None:
 
     print("\nmixed (knows|worksFor|...)-constraint workload:")
     index_seconds = run("RLC index", index.query)
-    run("RLC index (hub scan)", index.query_fast)
+    # Generated constraints are already minimum repeats within k, so the
+    # hub scan can skip validation.
+    run("RLC index (hub scan)", index.query_mr)
     bibfs_seconds = run("bidirectional BFS", NfaBiBfs(graph).query)
     try:
         etc = ExtendedTransitiveClosure.build(graph, 2, time_budget=120.0)

@@ -5,13 +5,12 @@ one process owns the prepared engines and answers a stream of queries.
 :class:`ReplayServer` is that process, stdlib-only
 (:class:`http.server.ThreadingHTTPServer`), serving five endpoints:
 
-- ``GET /healthz`` — liveness plus graph/engine identity (including
-  the default engine's capability flags);
+- ``GET /healthz`` — liveness plus graph/engine identity;
 - ``GET /stats`` — per-spec service counters (cache hits, engine
   timings ...);
 - ``POST /prepare`` — compile a constraint once: ``{"labels": [1, 0]}``
   returns the prepared constraint's normalized labels, digest and
-  the serving engine's capabilities; subsequent
+  the serving engine's id; subsequent
   ``/query`` calls under the same constraint hit the server-side
   prepared memo;
 - ``POST /query`` — one query: ``{"source": 0, "target": 5, "labels":
@@ -59,29 +58,31 @@ class _BadRequest(ValueError):
     """Client-side defect in a request body (mapped to HTTP 400)."""
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer (``bool`` is an ``int`` subclass, excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_labels(payload: Dict) -> Tuple[int, ...]:
     """The shared 'labels' parsing of /query, /batch and /prepare bodies."""
-    try:
-        raw_labels = payload["labels"]
-        if not isinstance(raw_labels, (list, tuple)):
-            raise TypeError("labels must be a list")
-        labels = tuple(int(label) for label in raw_labels)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _BadRequest("'labels' must be a list of integers") from exc
-    if not labels:
+    raw_labels = payload.get("labels")
+    if not isinstance(raw_labels, list) or not all(
+        _is_json_int(label) for label in raw_labels
+    ):
+        raise _BadRequest("'labels' must be a list of integers")
+    if not raw_labels:
         raise _BadRequest("'labels' must be a non-empty list")
-    return labels
+    return tuple(raw_labels)
 
 
 def _require_query(payload: Dict) -> Tuple[int, int, Tuple[int, ...]]:
     labels = _require_labels(payload)
-    try:
-        source = int(payload["source"])
-        target = int(payload["target"])
-    except (KeyError, TypeError, ValueError) as exc:
+    source = payload.get("source")
+    target = payload.get("target")
+    if not _is_json_int(source) or not _is_json_int(target):
         raise _BadRequest(
             "a query needs integer 'source', 'target' and a 'labels' list"
-        ) from exc
+        )
     return source, target, labels
 
 
@@ -201,14 +202,6 @@ class _SessionHTTPServer(ThreadingHTTPServer):
             "digest": session.graph_digest,
         }
         try:
-            from repro.engine.registry import engine_capabilities
-
-            body["capabilities"] = sorted(
-                engine_capabilities(session.default_engine_spec)
-            )
-        except ReproError:
-            pass  # exotic default specs stay healthy without the flags
-        try:
             graph = session.graph
         except ReproError:
             pass
@@ -267,7 +260,6 @@ class _SessionHTTPServer(ThreadingHTTPServer):
             body = prepared.as_dict()
             body["engine"] = spec or self.session.default_engine_spec
             body["engine_id"] = engine.name
-            body["capabilities"] = sorted(engine.capabilities)
         return body
 
     def handle_batch(self, payload: Dict) -> Dict:

@@ -318,7 +318,7 @@ class Session:
         :class:`~repro.engine.QueryOutcome` carries the answer, the
         engine id, the cache layer that served it (None on a fresh
         evaluation), wall time, and — with ``witness=True`` on a
-        witness-capable engine — a concrete witness path.
+        witness-ready engine — a concrete witness path.
         """
         return self.service(engine, **engine_options).query_outcome(
             source, target, labels, witness=witness
@@ -389,7 +389,7 @@ class Session:
         spec = engine or self._default_spec
         service = self.service(spec, **engine_options)
         engine_obj = service.engine
-        want_witness = bool(witness) and getattr(engine_obj, "witness_ready", False)
+        want_witness = bool(witness) and engine_obj.witness_ready
         outcome = service.query_outcome(
             source, target, labels, witness=want_witness
         )
@@ -406,10 +406,7 @@ class Session:
             "cache_layer": outcome.cache_layer,
             "seconds": outcome.seconds,
         }
-        try:
-            explanation["constraint_digest"] = service.prepare(labels).digest
-        except EngineError:
-            pass  # engines outside the prepared protocol have no digest
+        explanation["constraint_digest"] = service.prepare(labels).digest
         if outcome.witness is not None:
             vertices, path_labels = outcome.witness
             explanation["witness"] = {

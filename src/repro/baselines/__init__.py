@@ -12,13 +12,11 @@ The paper compares the RLC index against:
   built by unpruned forward kernel-based search.
 
 All evaluators share the ``query(source, target, labels)`` protocol
-plus a grouped ``query_batch`` (one constraint validation and one
-compiled NFA per distinct constraint — see
-:mod:`repro.baselines.batch`), and additionally support arbitrary
-regular expressions through ``query_regex`` where meaningful.
+and additionally support arbitrary regular expressions through
+``query_regex`` where meaningful.  Batched execution lives one layer
+up, in :meth:`repro.engine.EngineBase.query_batch`.
 """
 
-from repro.baselines.batch import batched_product_queries
 from repro.baselines.bfs import NfaBfs, evaluate_nfa_bfs
 from repro.baselines.bibfs import NfaBiBfs, evaluate_nfa_bibfs
 from repro.baselines.dfs import NfaDfs, evaluate_nfa_dfs
@@ -29,7 +27,6 @@ __all__ = [
     "NfaBfs",
     "NfaBiBfs",
     "NfaDfs",
-    "batched_product_queries",
     "evaluate_nfa_bfs",
     "evaluate_nfa_bibfs",
     "evaluate_nfa_dfs",

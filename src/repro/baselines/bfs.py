@@ -79,16 +79,6 @@ class NfaBfs:
             self._graph, source, target, constraint_automaton(label_tuple)
         )
 
-    def query_batch(self, queries) -> List[bool]:
-        """Batched evaluation: one compiled NFA per distinct constraint.
-
-        See :func:`repro.baselines.batch.batched_product_queries`;
-        answers match :meth:`query` element-wise.
-        """
-        from repro.baselines.batch import batched_product_queries
-
-        return batched_product_queries(self._graph, queries, evaluate_nfa_bfs)
-
     def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
         """Evaluate ``(source, target, labels*)`` (reduces to Kleene plus)."""
         if source == target:

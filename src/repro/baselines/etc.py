@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.errors import BudgetExceededError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.labels.minimum_repeat import minimum_repeat
-from repro.queries import group_queries_by_constraint, validate_rlc_query
+from repro.queries import validate_rlc_query
 
 __all__ = ["ExtendedTransitiveClosure"]
 
@@ -184,8 +184,7 @@ class ExtendedTransitiveClosure:
     def query_mr(self, source: int, target: int, mr: Tuple[int, ...]) -> bool:
         """Hash probe for an **already-validated** minimum repeat.
 
-        The evaluation unit behind the prepared-query path
-        (:meth:`repro.engine.EtcEngine.query_prepared`): callers pay
+        The evaluation behind :class:`repro.engine.EtcEngine`: callers pay
         constraint validation once (through
         :func:`repro.queries.validate_rlc_query` or a
         :class:`~repro.engine.PreparedQuery`) and this probe is then a
@@ -194,24 +193,6 @@ class ExtendedTransitiveClosure:
         """
         entry = self._closure.get((source, target))
         return entry is not None and mr in entry
-
-    def query_batch(self, queries) -> List[bool]:
-        """Batched lookups: validate each distinct constraint once.
-
-        The closure lookup is already O(1); batching amortizes the
-        remaining per-query cost, the KMP primitivity check of the
-        constraint, across queries sharing it (the same grouping —
-        :func:`repro.queries.group_queries_by_constraint` — the
-        traversal baselines use).
-        """
-        answers: List[bool] = [False] * len(queries)
-        groups = group_queries_by_constraint(self._graph, queries, k=self._k)
-        for label_tuple, positions in groups:
-            for position in positions:
-                query = queries[position]
-                entry = self._closure.get((query.source, query.target))
-                answers[position] = entry is not None and label_tuple in entry
-        return answers
 
     def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
         """Evaluate ``(source, target, labels*)`` (reduces to Kleene plus)."""

@@ -11,8 +11,7 @@ Commands:
   (batched + cached via the query service; ``--json`` emits the
   structured report and ``--witness --graph GRAPH`` attaches witness
   paths to true answers);
-- ``engines`` — list the engines in the registry, their capability
-  flags, and the spec grammar;
+- ``engines`` — list the engines in the registry and the spec grammar;
 - ``bench GRAPH WORKLOAD --engine SPEC`` — run a workload through any
   registered engine spec built over a graph file (bare names like
   ``bibfs`` or parameterized specs like ``rlc?k=3``);
@@ -41,7 +40,6 @@ from repro.core.index import RlcIndex
 from repro.engine import (
     RlcIndexEngine,
     available_engines,
-    engine_capabilities,
     filter_engine_options,
 )
 from repro.errors import ReproError
@@ -225,24 +223,11 @@ def _cmd_engines(args) -> int:
     rows = available_engines()
     width = max(len(key) for key, _, _ in rows)
     label_width = max(len(label) for _, label, _ in rows)
-    capability_rows = {
-        key: ",".join(sorted(engine_capabilities(key))) or "-"
-        for key, _, _ in rows
-    }
-    capability_width = max(len(text) for text in capability_rows.values())
     for key, label, description in rows:
-        capabilities = capability_rows[key].ljust(capability_width)
-        print(
-            f"{key.ljust(width)}  {label.ljust(label_width)}  "
-            f"{capabilities}  {description}"
-        )
+        print(f"{key.ljust(width)}  {label.ljust(label_width)}  {description}")
     print()
     print("spec grammar: name[?key=value&...], alias rlc -> rlc-index")
     print("e.g. rlc?k=3 (an RLC index with recursive bound 3)")
-    print(
-        "capabilities column: select engines by feature with "
-        "repro.engine.engines_with_capabilities(...)"
-    )
     return 0
 
 

@@ -142,7 +142,7 @@ class DynamicRlcIndex:
             self._base_graph, source, target, labels, k=self._index.k
         )
         # Monotone fast path: true on the base graph stays true.
-        if self._index.query_fast(source, target, constraint):
+        if self._index.query_mr(source, target, constraint):
             return True
         if not self._delta_edges:
             return False

@@ -19,14 +19,14 @@ complexity claim for Algorithm 1.
 
 A parallel ``{mr: [hub_access_ids]}`` view of the same entries supports
 the O(|hubs(L)|) point-lookup variant used heavily by the builder's
-PR1 pruning checks (and exposed as :meth:`RlcIndex.query_fast`).
+PR1 pruning checks (and exposed as :meth:`RlcIndex.query_mr`).
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,11 +60,10 @@ class BuildStats:
     pruned_pr1: int = 0
     pruned_pr2: int = 0
     pr3_stops: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dict view (used by the benchmark harness)."""
-        values = {
+        return {
             "seconds": self.seconds,
             "kernel_searches": self.kernel_searches,
             "kernel_bfs_runs": self.kernel_bfs_runs,
@@ -77,16 +76,15 @@ class BuildStats:
             "pruned_pr2": self.pruned_pr2,
             "pr3_stops": self.pr3_stops,
         }
-        values.update(self.extra)
-        return values
 
 
 class RlcIndex:
     """An immutable RLC index over a graph with recursive bound ``k``.
 
     Build one with :func:`repro.core.build_rlc_index`; query with
-    :meth:`query` (the paper's Algorithm 1) or :meth:`query_fast`
-    (hub-intersection variant, same answers).  The index is
+    :meth:`query` (the paper's Algorithm 1) or, for a constraint
+    validated once up front, :meth:`query_mr` (hub-intersection
+    variant, same answers).  The index is
     self-contained: it can be saved, loaded and queried without the
     graph (only vertex/label counts are validated).
     """
@@ -172,18 +170,6 @@ class RlcIndex:
         mr = validate_rlc_query(self, source, target, labels, k=self._k)
         return self._query_merge_join(source, target, mr)
 
-    def query_fast(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Hub-intersection variant of :meth:`query` (same answers).
-
-        Looks up only the hub lists of the queried constraint:
-        ``O(|hubs_out(L)| + |hubs_in(L)|)`` instead of the merge join's
-        ``O(|Lout(s)| + |Lin(t)|)``.  Exposed separately so the query
-        benchmarks can compare the two (an engineering extension over
-        the paper).
-        """
-        mr = validate_rlc_query(self, source, target, labels, k=self._k)
-        return self._query_hub_lookup(source, target, mr)
-
     def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
         """Kleene-star variant: true when ``source == target`` (empty path)."""
         if source == target and self.has_vertex(source):
@@ -191,35 +177,22 @@ class RlcIndex:
         return self.query(source, target, labels)
 
     def query_batch(self, queries: Sequence[RlcQuery]) -> List[bool]:
-        """Batched Algorithm 1: amortize work across a query set.
+        """Batched Algorithm 1: validate each distinct constraint once.
 
-        Groups the queries by constraint, validates each distinct
-        constraint once, and reuses the per-``MR`` hub lists across
-        queries sharing an ``MR`` — every query then costs two dict
-        probes plus binary searches / one sorted-list intersection
-        instead of full validation and the entry-list merge join.  The
-        unit of execution behind the engine layer's
-        ``RlcIndexEngine.query_batch``; answers match :meth:`query`
-        element-wise.
+        Every query then costs one :meth:`query_mr` hub probe instead of
+        full validation and the entry-list merge join; answers match
+        :meth:`query` element-wise, errors included.
         """
-        answers: List[bool] = [False] * len(queries)
-        groups: Dict[Mr, List[int]] = {}
-        for position, query in enumerate(queries):
-            groups.setdefault(tuple(query.labels), []).append(position)
-        for labels, positions in groups.items():
-            first = queries[positions[0]]
-            mr = validate_rlc_query(self, first.source, first.target, labels, k=self._k)
-            out_cache: Dict[int, Sequence[int]] = {}
-            in_cache: Dict[int, Sequence[int]] = {}
-            for position in positions:
-                query = queries[position]
-                answers[position] = self.query_mr(
-                    query.source,
-                    query.target,
-                    mr,
-                    out_cache=out_cache,
-                    in_cache=in_cache,
+        validated: Dict[Tuple[int, ...], Mr] = {}
+        answers: List[bool] = []
+        for query in queries:
+            mr = validated.get(query.labels)
+            if mr is None:
+                mr = validate_rlc_query(
+                    self, query.source, query.target, query.labels, k=self._k
                 )
+                validated[query.labels] = mr
+            answers.append(self.query_mr(query.source, query.target, mr))
         return answers
 
     def _query_merge_join(self, source: int, target: int, mr: Mr) -> bool:
@@ -262,20 +235,27 @@ class RlcIndex:
                     j += 1
         return False
 
-    def _probe_hubs(
-        self,
-        source: int,
-        target: int,
-        hubs_out: Sequence[int],
-        hubs_in: Sequence[int],
-    ) -> bool:
-        """The shared 3-way hub probe (Definition 4's cases over hub lists).
+    def query_mr(self, source: int, target: int, mr: Mr) -> bool:
+        """Point query for an **already-validated** primitive constraint.
 
-        Case 2 both ways (is the opposite endpoint itself a recorded
-        hub?), then Case 1 as a sorted-list intersection.  The single
-        home of this sequence — the point lookup, the prepared path
-        and the batched path all funnel through it.
+        The hub-intersection form of Algorithm 1 and the evaluation
+        behind :class:`repro.engine.RlcIndexEngine` and
+        :meth:`query_batch`: endpoints are bounds-checked here (cheap),
+        but ``mr`` must already be the validated minimum repeat —
+        callers amortize that through
+        :func:`repro.queries.validate_rlc_query` or a
+        :class:`~repro.engine.PreparedQuery`.  Looks up only the hub
+        lists of the constraint, ``O(|hubs_out(L)| + |hubs_in(L)|)``
+        instead of the merge join's ``O(|Lout(s)| + |Lin(t)|)``: Case 2
+        both ways (is the opposite endpoint itself a recorded hub?),
+        then Case 1 as a sorted-list intersection.
         """
+        if not 0 <= source < self._num_vertices:
+            raise QueryError(f"unknown source vertex: {source}")
+        if not 0 <= target < self._num_vertices:
+            raise QueryError(f"unknown target vertex: {target}")
+        hubs_out = self._out_by_mr[source].get(mr, _NO_HUBS)
+        hubs_in = self._in_by_mr[target].get(mr, _NO_HUBS)
         if hubs_out and _binary_contains(hubs_out, self._aid[target]):
             return True
         if hubs_in and _binary_contains(hubs_in, self._aid[source]):
@@ -283,53 +263,6 @@ class RlcIndex:
         if not hubs_out or not hubs_in:
             return False
         return _sorted_intersect(hubs_out, hubs_in)
-
-    def _query_hub_lookup(self, source: int, target: int, mr: Mr) -> bool:
-        return self._probe_hubs(
-            source, target, self.out_hubs(source, mr), self.in_hubs(target, mr)
-        )
-
-    def query_mr(
-        self,
-        source: int,
-        target: int,
-        mr: Mr,
-        *,
-        out_cache: Optional[Dict[int, Sequence[int]]] = None,
-        in_cache: Optional[Dict[int, Sequence[int]]] = None,
-    ) -> bool:
-        """Point query for an **already-validated** primitive constraint.
-
-        The evaluation behind the prepared-query path
-        (:meth:`repro.engine.RlcIndexEngine.query_prepared`) and the
-        per-group unit of :meth:`query_batch`: endpoints are
-        bounds-checked here (cheap), but ``mr`` must already be the
-        validated minimum repeat — callers amortize that through
-        :func:`repro.queries.validate_rlc_query` or a
-        :class:`~repro.engine.PreparedQuery`.  ``out_cache`` /
-        ``in_cache``, when given, memoize per-vertex hub lists across
-        calls sharing the constraint (what makes repeated endpoints
-        under one prepared constraint nearly free).
-        """
-        if not 0 <= source < self._num_vertices:
-            raise QueryError(f"unknown source vertex: {source}")
-        if not 0 <= target < self._num_vertices:
-            raise QueryError(f"unknown target vertex: {target}")
-        if out_cache is not None:
-            hubs_out = out_cache.get(source)
-            if hubs_out is None:
-                hubs_out = self.out_hubs(source, mr)
-                out_cache[source] = hubs_out
-        else:
-            hubs_out = self.out_hubs(source, mr)
-        if in_cache is not None:
-            hubs_in = in_cache.get(target)
-            if hubs_in is None:
-                hubs_in = self.in_hubs(target, mr)
-                in_cache[target] = hubs_in
-        else:
-            hubs_in = self.in_hubs(target, mr)
-        return self._probe_hubs(source, target, hubs_out, hubs_in)
 
     # ------------------------------------------------------------------
     # Entry inspection
@@ -350,8 +283,8 @@ class RlcIndex:
     def out_hubs(self, vertex: int, mr: Mr) -> Sequence[int]:
         """Sorted access ids of hubs with ``(hub, mr)`` in ``Lout(vertex)``.
 
-        The per-``MR`` point-lookup view behind :meth:`query_fast` and
-        :meth:`query_batch`, exposed for callers that want to inspect or
+        The per-``MR`` point-lookup view behind :meth:`query_mr`,
+        exposed for callers that want to inspect or
         intersect a constraint's hub lists themselves.  Returns a
         read-only empty tuple when the vertex has no entry for ``mr``.
         """

@@ -3,9 +3,10 @@
 Everything that can answer an RLC query — the RLC index, the four
 online/materialized baselines and the three simulated Table V systems
 — is wrapped in the :class:`ReachabilityEngine` contract (``prepare`` /
-``query`` / ``query_batch`` / ``stats``), constructed by name (or
-parameterized spec) through the registry, and served through the
-batching/caching :class:`QueryService`::
+``prepare_query`` / ``query_prepared`` / ``query_batch`` / ``stats``,
+all reaching the backend through one ``_evaluate`` hook), constructed
+by name (or parameterized spec) through the registry, and served
+through the batching/caching :class:`QueryService`::
 
     from repro.engine import QueryService, create_engine
 
@@ -21,7 +22,6 @@ batching/caching :class:`QueryService`::
 """
 
 from repro.engine.base import (
-    KNOWN_CAPABILITIES,
     EngineBase,
     EngineStats,
     PreparedQuery,
@@ -31,9 +31,7 @@ from repro.engine.base import (
 from repro.engine.registry import (
     available_engines,
     create_engine,
-    engine_capabilities,
     engine_names,
-    engines_with_capabilities,
     filter_engine_options,
     get_engine_class,
     instantiate_engine,
@@ -56,7 +54,6 @@ from repro.engine.adapters import (
 from repro.engine.service import QueryService, ServiceReport
 
 __all__ = [
-    "KNOWN_CAPABILITIES",
     "BfsEngine",
     "BiBfsEngine",
     "DfsEngine",
@@ -74,9 +71,7 @@ __all__ = [
     "VirtuosoSimEngine",
     "available_engines",
     "create_engine",
-    "engine_capabilities",
     "engine_names",
-    "engines_with_capabilities",
     "filter_engine_options",
     "get_engine_class",
     "instantiate_engine",

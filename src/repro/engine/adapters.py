@@ -18,37 +18,25 @@ registry key    table label    backend
 
 ``rlc`` is an alias of ``rlc-index``.
 
-Every adapter answers through the **prepared-query lifecycle**
-(:meth:`~repro.engine.base.EngineBase.prepare_query` /
-:meth:`~repro.engine.base.EngineBase.query_prepared`), each with a
-validation-free evaluation hook: the RLC index probes its per-``MR``
-hub lists (memoized per prepared constraint), the traversal baselines
-run their product search on the prepared constraint automaton instead
-of recompiling it, and ETC's probe is a bare hash lookup.  The three
-simulated Table V systems keep the revalidating fallback — per-query
-overhead is part of what they simulate.
-
-Every non-simulated adapter also has a genuinely batched
-``query_batch`` (capability ``batch-grouped``):
-:class:`RlcIndexEngine` groups queries by constraint, validates each
-distinct constraint once, and reuses the index's per-``MR`` hub lists
-across queries sharing an ``MR`` (the measured win over
-query-at-a-time execution is pinned by
-``benchmarks/bench_micro_operations.py``); the traversal baselines
-(BFS/DFS/BiBFS) and ETC apply the same grouping — one constraint
-validation and one compiled NFA (resp. one validated lookup key) per
-distinct constraint, via
-:func:`repro.baselines.batch.batched_product_queries` and
-:meth:`ExtendedTransitiveClosure.query_batch`.  All eight advertise
-``witness`` — witness extraction is a product BFS over the bound
-graph, engine-independent — but an engine adopted around a loaded
-index (``RlcIndexEngine.from_index``) has no graph to walk, which
+Each adapter defines only the two hooks of
+:class:`~repro.engine.base.EngineBase`: ``_prepare`` builds its
+backend and ``_evaluate`` answers one already-validated query.  The
+RLC index probes its per-``MR`` hub lists (:meth:`RlcIndex.query_mr`),
+the traversal baselines run their product search on the prepared
+constraint automaton, and ETC's probe is a bare hash lookup.  The
+three simulated Table V systems answer through their own revalidating
+``query`` — per-query overhead is part of what they simulate.  Point
+queries, prepared queries and batches (one ``prepare_query`` per
+distinct constraint) all reach the backend through that one hook.
+Every engine can extract witness paths — a product BFS over the bound
+graph — except one adopted around a loaded index
+(``RlcIndexEngine.from_index``), which has no graph to walk, as
 :attr:`~repro.engine.base.EngineBase.witness_ready` reports.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.baselines import (
     ExtendedTransitiveClosure,
@@ -64,11 +52,6 @@ from repro.core.index import RlcIndex
 from repro.engine.base import EngineBase, PreparedQuery
 from repro.engine.registry import register, register_alias
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.queries import RlcQuery
-
-#: Per-constraint hub-list memos are cleared wholesale past this many
-#: vertices, which bounds their memory at no bookkeeping cost.
-_HUB_MEMO_LIMIT = 1 << 16
 
 __all__ = [
     "BfsEngine",
@@ -84,11 +67,10 @@ __all__ = [
 
 @register
 class RlcIndexEngine(EngineBase):
-    """The RLC index (the paper's contribution), with batched execution."""
+    """The RLC index (the paper's contribution)."""
 
     name = "rlc-index"
     display_name = "RLC"
-    capabilities = frozenset({"witness", "batch-grouped"})
 
     def __init__(
         self,
@@ -136,75 +118,26 @@ class RlcIndexEngine(EngineBase):
             time_budget=self._time_budget,
         )
 
-    def _answer(self, index: RlcIndex, source, target, labels) -> bool:
-        return index.query(source, target, labels)
-
-    def _compile_prepared(self, prepared: PreparedQuery) -> None:
-        """Seed the per-constraint hub-list memo this adapter fills."""
-        self.prepared_state_for(prepared).setdefault("hubs", ({}, {}))
-
-    def _answer_prepared(
-        self, index: RlcIndex, source, target, prepared: PreparedQuery
+    def _evaluate(
+        self, index: RlcIndex, prepared: PreparedQuery, source, target
     ) -> bool:
-        """Validated hub probe with per-constraint hub-list memoization.
-
-        The same evaluation unit as one :meth:`RlcIndex.query_batch`
-        group: this engine's private state for the prepared constraint
-        carries the per-vertex hub-list caches, so repeated endpoints
-        under one constraint cost two dict probes plus a binary
-        search.  The memo is bounded: past ``_HUB_MEMO_LIMIT`` entries
-        a cache is cleared wholesale.
-        """
-        state = self.prepared_state_for(prepared)
-        caches = state.get("hubs")
-        if caches is None:
-            caches = ({}, {})
-            state["hubs"] = caches
-        out_cache, in_cache = caches
-        if len(out_cache) >= _HUB_MEMO_LIMIT:
-            out_cache.clear()
-        if len(in_cache) >= _HUB_MEMO_LIMIT:
-            in_cache.clear()
-        return index.query_mr(
-            source, target, prepared.labels, out_cache=out_cache, in_cache=in_cache
-        )
-
-    def _answer_batch(self, index: RlcIndex, queries: List[RlcQuery]) -> List[bool]:
-        """The real batched path: :meth:`RlcIndex.query_batch`.
-
-        The algorithm lives in :mod:`repro.core.index` next to its
-        point-query siblings (one validation per distinct constraint,
-        hub lists reused across queries sharing an ``MR``); the adapter
-        only contributes the engine-contract plumbing.
-        """
-        return index.query_batch(queries)
+        return index.query_mr(source, target, prepared.labels)
 
 
 class _TraversalEngineAdapter(EngineBase):
     """Base for the online traversal baselines (BFS / DFS / BiBFS).
 
     Each binds an evaluator function ``(graph, source, target, nfa) ->
-    bool``; the prepared path reuses the
-    :attr:`~repro.engine.base.PreparedQuery.nfa` compiled once at
-    prepare time instead of rebuilding the constraint automaton per
-    query.
+    bool`` and runs it on the
+    :attr:`~repro.engine.base.PreparedQuery.nfa`, compiled once per
+    prepared constraint instead of once per query.
     """
 
-    capabilities = frozenset({"witness", "batch-grouped"})
     _evaluator = None
 
-    def _answer(self, backend, source, target, labels) -> bool:
-        return backend.query(source, target, labels)
-
-    def _answer_prepared(
-        self, backend, source, target, prepared: PreparedQuery
-    ) -> bool:
+    def _evaluate(self, backend, prepared: PreparedQuery, source, target) -> bool:
         """Product search on the prepared constraint automaton."""
-        return type(self)._evaluator(self.graph, source, target, prepared.nfa)
-
-    def _answer_batch(self, backend, queries: List[RlcQuery]) -> List[bool]:
-        """Grouped batched path: one NFA per distinct constraint."""
-        return backend.query_batch(queries)
+        return type(self)._evaluator(backend.graph, source, target, prepared.nfa)
 
 
 @register
@@ -249,7 +182,6 @@ class EtcEngine(EngineBase):
 
     name = "etc"
     display_name = "ETC"
-    capabilities = frozenset({"witness", "batch-grouped"})
 
     def __init__(
         self,
@@ -275,39 +207,27 @@ class EtcEngine(EngineBase):
             max_entries=self._max_entries,
         )
 
-    def _answer(self, backend: ExtendedTransitiveClosure, source, target, labels) -> bool:
-        return backend.query(source, target, labels)
-
-    def _answer_prepared(
+    def _evaluate(
         self,
         backend: ExtendedTransitiveClosure,
+        prepared: PreparedQuery,
         source,
         target,
-        prepared: PreparedQuery,
     ) -> bool:
         """Validated closure probe: one hash lookup, no re-validation."""
         return backend.query_mr(source, target, prepared.labels)
-
-    def _answer_batch(
-        self, backend: ExtendedTransitiveClosure, queries: List[RlcQuery]
-    ) -> List[bool]:
-        """Grouped batched path: one constraint validation per group."""
-        return backend.query_batch(queries)
 
 
 class _SimulatedEngineAdapter(EngineBase):
     """Base for the Table V simulated mainstream systems.
 
-    These keep the revalidating fallback on the prepared path too —
+    These answer through the backend's own revalidating ``query`` —
     their per-query fixed costs are part of the system behaviour they
-    simulate — so they advertise ``witness`` (extraction is
-    graph-level) but not ``batch-grouped``.
+    simulate.
     """
 
-    capabilities = frozenset({"witness"})
-
-    def _answer(self, backend, source, target, labels) -> bool:
-        return backend.query(source, target, labels)
+    def _evaluate(self, backend, prepared: PreparedQuery, source, target) -> bool:
+        return backend.query(source, target, prepared.labels)
 
 
 @register

@@ -31,7 +31,7 @@ All engines shipped with the library register themselves when
 from __future__ import annotations
 
 import inspect
-from typing import Dict, FrozenSet, List, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from repro.errors import EngineError, EngineOptionError
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -40,9 +40,7 @@ from repro.engine.base import EngineBase
 __all__ = [
     "available_engines",
     "create_engine",
-    "engine_capabilities",
     "engine_names",
-    "engines_with_capabilities",
     "filter_engine_options",
     "get_engine_class",
     "instantiate_engine",
@@ -218,39 +216,6 @@ def create_engine(name: str, graph: EdgeLabeledDigraph, **options) -> EngineBase
 def engine_names() -> Tuple[str, ...]:
     """All registered engine keys, sorted (aliases excluded)."""
     return tuple(sorted(_REGISTRY))
-
-
-def engine_capabilities(name: str) -> FrozenSet[str]:
-    """The capability flags the named engine class advertises.
-
-    Accepts a key, alias, or spec.
-    """
-    return frozenset(get_engine_class(name).capabilities)
-
-
-def engines_with_capabilities(*capabilities: str) -> Tuple[str, ...]:
-    """Registry keys of the engines advertising every given capability.
-
-    The feature-based selection path: callers ask for what they need
-    (``engines_with_capabilities("witness", "batch-grouped")``) instead
-    of hard-coding names, so adding an engine never adds a branch.
-    Unknown capability tokens raise ``EngineError`` rather than
-    silently matching nothing.
-    """
-    from repro.engine.base import KNOWN_CAPABILITIES
-
-    wanted = frozenset(capabilities)
-    unknown = wanted - KNOWN_CAPABILITIES
-    if unknown:
-        raise EngineError(
-            f"unknown capabilities: {', '.join(sorted(unknown))}; known "
-            f"capabilities: {', '.join(sorted(KNOWN_CAPABILITIES))}"
-        )
-    return tuple(
-        key
-        for key in engine_names()
-        if wanted <= frozenset(_REGISTRY[key].capabilities)
-    )
 
 
 def available_engines() -> List[Tuple[str, str, str]]:

@@ -2,9 +2,9 @@
 
 :class:`QueryService` is the serving-layer entry point the ROADMAP's
 scaling work builds on: it executes workloads in fixed-size batches
-through an engine's ``query_batch`` (so engines with a real batched
-path — the RLC index and the traversal baselines — amortize
-validation, NFA compilation and hub lookups), memoizes answers in a
+through an engine's ``query_batch`` (which validates, and for the
+traversals compiles, each distinct constraint once per batch),
+memoizes answers in a
 bounded LRU cache, keeps hit-rate and timing counters, and
 verifies answers against the ground truth that workload files carry in
 :attr:`RlcQuery.expected`.
@@ -35,14 +35,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.base import EngineBase, EngineStats, PreparedQuery, QueryOutcome
-from repro.errors import CapabilityError, EngineError, ReproError
+from repro.errors import EngineError
 from repro.queries import RlcQuery
 
 __all__ = ["QueryService", "ServiceReport"]
 
 #: Result-cache key: ``(source, target, prepared-constraint digest)``.
-#: Engines outside the prepared protocol fall back to a ``raw:`` key
-#: derived from the literal label tuple.
 CacheKey = Tuple[int, int, str]
 
 #: Bound on the prepared-constraint memo (distinct constraints are few
@@ -161,27 +159,13 @@ class QueryService:
 
         The service-level face of the prepared lifecycle: repeated
         calls with the same (or equivalently spelled) constraint return
-        the same object, whose digest keys every cache layer.  Raises
-        ``EngineError`` for engines outside the prepared protocol.
+        the same object, whose digest keys every cache layer.
         """
-        prepared = self._prepared_for(labels)
-        if prepared is None:
-            raise EngineError(
-                f"engine {self._engine.name!r} does not implement "
-                "prepare_query(); it predates the prepared-query protocol"
-            )
-        return prepared
-
-    def _prepared_for(self, labels) -> Optional[PreparedQuery]:
-        """The memoized prepared constraint, or None (legacy engines)."""
         key = tuple(labels)
         prepared = self._prepared.get(key)
         if prepared is not None:
             return prepared
-        prepare = getattr(self._engine, "prepare_query", None)
-        if prepare is None:
-            return None
-        prepared = prepare(key)
+        prepared = self._engine.prepare_query(key)
         if len(self._prepared) >= _PREPARED_MEMO_LIMIT:
             self._prepared.clear()
         self._prepared[key] = prepared
@@ -189,33 +173,6 @@ class QueryService:
             # Alias the normalized spelling (numpy ints, lists) too.
             self._prepared[prepared.labels] = prepared
         return prepared
-
-    def _key_of(
-        self, source: int, target: int, labels, prepared: Optional[PreparedQuery]
-    ) -> CacheKey:
-        if prepared is not None:
-            return (int(source), int(target), prepared.digest)
-        raw = ",".join(str(int(label)) for label in labels)
-        return (int(source), int(target), f"raw:{raw}")
-
-    def peek(self, source: int, target: int, labels) -> Optional[bool]:
-        """The cached answer for a query, or None — never runs the engine.
-
-        Consults the LRU and the backing store (promoting a store hit
-        into the LRU) without counting a hit or a miss — an external
-        read-only probe (``Session.explain`` now reads the cache layer
-        off its :class:`~repro.engine.base.QueryOutcome` instead).
-        A malformed constraint returns None rather than raising — an
-        invalid query is never cached, and a peek is a read-only
-        probe, so compiling the key (the only engine-side work peek
-        does) must not surface validation errors.
-        """
-        try:
-            prepared = self._prepared_for(labels)
-        except ReproError:
-            return None
-        answer, _ = self._cache_lookup(self._key_of(source, target, labels, prepared))
-        return answer
 
     def query_outcome(
         self, source: int, target: int, labels, *, witness: bool = False
@@ -226,24 +183,16 @@ class QueryService:
         :class:`~repro.engine.base.QueryOutcome`; a cached answer is
         wrapped in an outcome whose ``cache_layer`` names the serving
         layer (``"lru"`` or ``"store"``).  ``witness=True`` attaches a
-        witness path either way; engines that cannot produce one —
-        no ``witness`` capability, or an engine outside the prepared
-        protocol entirely — raise ``CapabilityError`` rather than
-        silently omitting it.
+        witness path either way.
         """
-        prepared = self._prepared_for(labels)
-        if witness and prepared is None:
-            raise CapabilityError(
-                f"engine {self._engine.name!r} predates the prepared-query "
-                "protocol and cannot attach witness paths"
-            )
-        key = self._key_of(source, target, labels, prepared)
+        prepared = self.prepare(labels)
+        key = (int(source), int(target), prepared.digest)
         started = time.perf_counter()
         cached, layer = self._cache_lookup(key)
         if cached is not None:
             self._hits += 1
             path = None
-            if witness and prepared is not None:
+            if witness:
                 path = self._engine.witness_path(
                     prepared, int(source), int(target), answer=cached
                 )
@@ -251,28 +200,16 @@ class QueryService:
                 answer=cached,
                 source=int(source),
                 target=int(target),
-                labels=prepared.labels if prepared is not None else tuple(labels),
+                labels=prepared.labels,
                 engine=self._engine.name,
                 cache_layer=layer,
                 witness=path,
                 seconds=time.perf_counter() - started,
             )
         self._misses += 1
-        if prepared is not None:
-            outcome = self._engine.query_prepared(
-                prepared, source, target, witness=witness
-            )
-        else:
-            query = RlcQuery(int(source), int(target), tuple(labels))
-            answer = bool(self._engine.query(query))
-            outcome = QueryOutcome(
-                answer=answer,
-                source=query.source,
-                target=query.target,
-                labels=query.labels,
-                engine=self._engine.name,
-                seconds=time.perf_counter() - started,
-            )
+        outcome = self._engine.query_prepared(
+            prepared, source, target, witness=witness
+        )
         self._cache_put(key, outcome.answer)
         return outcome
 
@@ -308,11 +245,10 @@ class QueryService:
         hits = misses = 0
         started = time.perf_counter()
         for position, query in enumerate(batch):
-            key = self._key_of(
-                query.source,
-                query.target,
-                query.labels,
-                self._prepared_for(query.labels),
+            key = (
+                int(query.source),
+                int(query.target),
+                self.prepare(query.labels).digest,
             )
             key_of[position] = key
             cached, _ = self._cache_lookup(key)

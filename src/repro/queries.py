@@ -9,16 +9,14 @@ for some ``z >= 1``.
 :class:`RlcQuery` is the value object used across the library;
 :func:`validate_rlc_query` centralizes the error taxonomy (unknown
 vertices, empty constraints, non-primitive constraints, constraints
-longer than an index's ``k``); :func:`group_queries_by_constraint` is
-the shared scaffold of every grouped batched path (validate each
-distinct constraint once, check the remaining endpoints per query).
+longer than an index's ``k``).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import CapabilityError, NonPrimitiveConstraintError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -27,7 +25,6 @@ from repro.labels.sequences import format_constraint
 
 __all__ = [
     "RlcQuery",
-    "group_queries_by_constraint",
     "validate_constraint_labels",
     "validate_rlc_query",
 ]
@@ -92,25 +89,24 @@ def validate_constraint_labels(
     raw_labels = tuple(labels)
     if not raw_labels:
         raise QueryError("RLC constraint must contain at least one label")
-    normalized = []
+    num_labels = graph.num_labels
     for label in raw_labels:
         # Accept any integral type (numpy-loaded workloads carry
         # np.int64 labels) but reject bools, which are Integral too.
-        if isinstance(label, bool) or not isinstance(label, numbers.Integral):
+        if type(label) is not int and (
+            isinstance(label, bool) or not isinstance(label, numbers.Integral)
+        ):
             raise QueryError(
                 f"unknown label id: {label!r} in constraint "
                 f"{_describe_raw_constraint(raw_labels)} is not an integer"
             )
-        value = int(label)
-        if not 0 <= value < graph.num_labels:
+        if not 0 <= label < num_labels:
             raise QueryError(
                 f"unknown label id: {label!r} in constraint "
                 f"{_describe_raw_constraint(raw_labels)}; the graph has "
-                f"{graph.num_labels} labels (valid ids 0.."
-                f"{graph.num_labels - 1})"
+                f"{num_labels} labels (valid ids 0..{num_labels - 1})"
             )
-        normalized.append(value)
-    label_tuple = tuple(normalized)
+    label_tuple = tuple(map(int, raw_labels))
     if not is_primitive(label_tuple):
         raise NonPrimitiveConstraintError(
             f"constraint {format_constraint(label_tuple)} is not a minimum repeat; "
@@ -146,36 +142,3 @@ def validate_rlc_query(
     if not graph.has_vertex(target):
         raise QueryError(f"unknown target vertex: {target}")
     return validate_constraint_labels(graph, labels, k=k)
-
-
-def group_queries_by_constraint(
-    graph: EdgeLabeledDigraph,
-    queries: Sequence[RlcQuery],
-    *,
-    k: Optional[int] = None,
-) -> List[Tuple[Tuple[int, ...], List[int]]]:
-    """Group query positions by distinct constraint, validating once each.
-
-    The common scaffold of the grouped batched paths (the traversal
-    baselines and ETC): per distinct constraint the
-    full :func:`validate_rlc_query` runs once — through the group's
-    first query — and the remaining queries only pay endpoint checks,
-    so a malformed batch raises exactly the errors its point queries
-    would.  Returns ``(validated label tuple, positions)`` pairs; the
-    positions of all pairs partition ``range(len(queries))``.
-    """
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for position, query in enumerate(queries):
-        groups.setdefault(tuple(query.labels), []).append(position)
-    validated: List[Tuple[Tuple[int, ...], List[int]]] = []
-    for labels, positions in groups.items():
-        first = queries[positions[0]]
-        label_tuple = validate_rlc_query(graph, first.source, first.target, labels, k=k)
-        for position in positions[1:]:
-            query = queries[position]
-            if not graph.has_vertex(query.source):
-                raise QueryError(f"unknown source vertex: {query.source}")
-            if not graph.has_vertex(query.target):
-                raise QueryError(f"unknown target vertex: {query.target}")
-        validated.append((label_tuple, positions))
-    return validated

@@ -61,7 +61,7 @@ class TestHealthAndStats:
         assert body["digest"] == graph.content_digest()
         assert body["vertices"] == graph.num_vertices
         assert body["edges"] == graph.num_edges
-        assert "witness" in body["capabilities"]
+        assert "capabilities" not in body
 
     def test_stats_lists_prepared_engines(self, server):
         post(server, "/query", {"source": 0, "target": 1, "labels": [0]})
@@ -167,6 +167,15 @@ class TestQueryEndpoint:
             {"source": 0, "target": 1, "labels": "10"},
             {"source": "x", "target": 1, "labels": [0]},
             {"source": 0, "target": 1, "labels": [0], "engine": 7},
+            # Non-integer JSON numbers, strings and booleans are
+            # rejected, never truncated or coerced to a vertex/label id.
+            {"source": 2.9, "target": 1, "labels": [0]},
+            {"source": 0, "target": 1.0, "labels": [0]},
+            {"source": "2", "target": 1, "labels": [0]},
+            {"source": True, "target": 1, "labels": [0]},
+            {"source": 0, "target": 1, "labels": [1.5]},
+            {"source": 0, "target": 1, "labels": [True]},
+            {"source": 0, "target": 1, "labels": ["0"]},
         ],
     )
     def test_malformed_queries_are_400(self, server, payload):
@@ -216,7 +225,8 @@ class TestPrepareEndpoint:
             body["digest"]
             == PreparedQuery((0, 1), num_labels=graph.num_labels).digest
         )
-        assert "witness" in body["capabilities"]
+        assert body["engine_id"] == "rlc-index"
+        assert "capabilities" not in body
 
     def test_prepare_respects_engine_override(self, server):
         status, body = post(
@@ -228,8 +238,9 @@ class TestPrepareEndpoint:
     def test_prepare_rejects_bad_bodies(self, server):
         status, body = post(server, "/prepare", {"labels": []})
         assert status == 400 and "error" in body
-        status, body = post(server, "/prepare", {"labels": ["x"]})
-        assert status == 400 and "error" in body
+        for labels in (["x"], [1.5], [True], ["1"], [0, 1.0]):
+            status, body = post(server, "/prepare", {"labels": labels})
+            assert status == 400 and "integers" in body["error"]
         status, body = post(server, "/prepare", {"labels": [99]})
         assert status == 400 and "unknown label" in body["error"]
 
@@ -282,6 +293,14 @@ class TestBatchEndpoint:
                     {"source": 0, "target": 1, "labels": [0], "expected": "yes"}
                 ]
             },
+            {
+                "queries": [
+                    {"source": 0, "target": 1, "labels": [0]},
+                    {"source": 2.9, "target": 1, "labels": [0]},
+                ]
+            },
+            {"queries": [{"source": 0, "target": False, "labels": [0]}]},
+            {"queries": [{"source": 0, "target": 1, "labels": [0.0]}]},
         ],
     )
     def test_malformed_batches_are_400(self, server, payload):

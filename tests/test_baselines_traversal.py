@@ -12,7 +12,7 @@ from repro.baselines import NfaBfs, NfaBiBfs, NfaDfs
 from repro.baselines.bfs import evaluate_nfa_bfs
 from repro.baselines.bibfs import evaluate_nfa_bibfs
 from repro.baselines.dfs import evaluate_nfa_dfs
-from repro.errors import CapabilityError, NonPrimitiveConstraintError, QueryError
+from repro.errors import NonPrimitiveConstraintError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
 
 from tests.helpers import all_primitive_constraints, brute_force_rlc, random_graph
@@ -144,72 +144,3 @@ class TestBfsVsBibfsLargerGraphs:
             expected = bfs.query(s, t, labels)
             assert bibfs.query(s, t, labels) == expected
             assert dfs.query(s, t, labels) == expected
-
-
-class TestBatchedTraversal:
-    """The grouped batched path: one NFA per distinct constraint group."""
-
-    @pytest.fixture
-    def graph(self):
-        return EdgeLabeledDigraph(
-            4, [(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0), (1, 2, 1)], num_labels=3
-        )
-
-    def _mixed_batch(self, graph):
-        from repro.queries import RlcQuery
-
-        constraints = all_primitive_constraints(graph.num_labels, 2)[:4]
-        return [
-            RlcQuery(s, t, constraints[(s + t) % len(constraints)])
-            for s in range(graph.num_vertices)
-            for t in range(graph.num_vertices)
-        ]
-
-    def test_batch_matches_point_queries(self, engine_cls, graph):
-        engine = engine_cls(graph)
-        batch = self._mixed_batch(graph)
-        assert engine.query_batch(batch) == [
-            engine.query(q.source, q.target, q.labels) for q in batch
-        ]
-
-    def test_one_nfa_per_distinct_constraint(self, engine_cls, graph, monkeypatch):
-        import repro.baselines.batch as batch_module
-
-        calls = []
-        real = batch_module.constraint_automaton
-        monkeypatch.setattr(
-            batch_module,
-            "constraint_automaton",
-            lambda labels, **kw: (calls.append(tuple(labels)), real(labels, **kw))[1],
-        )
-        engine = engine_cls(graph)
-        batch = self._mixed_batch(graph)
-        distinct = {tuple(q.labels) for q in batch}
-        engine.query_batch(batch)
-        assert sorted(calls) == sorted(distinct)  # compiled once each
-
-    def test_batch_validates_errors_like_point_queries(self, engine_cls, graph):
-        from repro.queries import RlcQuery
-
-        engine = engine_cls(graph)
-        with pytest.raises(QueryError, match="unknown source"):
-            engine.query_batch([RlcQuery(99, 0, (0,))])
-        with pytest.raises(QueryError, match="unknown target"):
-            engine.query_batch([RlcQuery(0, 0, (0,)), RlcQuery(0, 99, (0,))])
-        with pytest.raises(NonPrimitiveConstraintError):
-            engine.query_batch([RlcQuery(0, 1, (0, 0))])
-
-    def test_empty_batch(self, engine_cls, graph):
-        assert engine_cls(graph).query_batch([]) == []
-
-    def test_etc_batch_matches_point_queries(self, graph):
-        from repro.baselines import ExtendedTransitiveClosure
-        from repro.queries import RlcQuery
-
-        etc = ExtendedTransitiveClosure.build(graph, k=2)
-        batch = self._mixed_batch(graph)
-        assert etc.query_batch(batch) == [
-            etc.query(q.source, q.target, q.labels) for q in batch
-        ]
-        with pytest.raises(CapabilityError):
-            etc.query_batch([RlcQuery(0, 1, (0, 1, 2))])

@@ -119,11 +119,15 @@ class TestEngineCommands:
         out = capsys.readouterr().out
         assert "0 wrong answers" in out and "cache hit rate" in out
 
-    def test_engines_lists_capabilities(self, capsys):
+    def test_engines_lists_the_registry(self, capsys):
+        from repro.engine import engine_names
+
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        assert "batch-grouped,witness" in out
-        assert "engines_with_capabilities" in out
+        for name in engine_names():
+            assert name in out
+        assert "spec grammar" in out
+        assert "capabilit" not in out
 
     def test_run_json_and_witness(self, fig2_file, tmp_path, capsys):
         import json

@@ -14,6 +14,7 @@ from repro.errors import (
     SerializationError,
 )
 from repro.core.index import RlcIndex
+from repro.queries import RlcQuery
 
 from tests.helpers import all_primitive_constraints, brute_force_rlc, random_graph
 
@@ -102,9 +103,19 @@ class TestPaperExample4:
     def test_fast_variant_agrees(self, fig2_index):
         for s, t in itertools.product(range(6), repeat=2):
             for labels in all_primitive_constraints(3, 2):
-                assert fig2_index.query(s, t, labels) == fig2_index.query_fast(
+                assert fig2_index.query(s, t, labels) == fig2_index.query_mr(
                     s, t, labels
                 )
+
+    def test_batch_matches_point_queries(self, fig2_index):
+        batch = [
+            RlcQuery(s, t, labels)
+            for s, t in itertools.product(range(6), repeat=2)
+            for labels in all_primitive_constraints(3, 2)
+        ]
+        assert fig2_index.query_batch(batch) == [
+            fig2_index.query(q.source, q.target, q.labels) for q in batch
+        ]
 
 
 class TestQuerySemantics:
@@ -152,7 +163,7 @@ class TestAgainstBruteForce:
             for labels in all_primitive_constraints(graph.num_labels, k):
                 expected = brute_force_rlc(graph, s, t, labels)
                 assert index.query(s, t, labels) == expected, (seed, k, s, t, labels)
-                assert index.query_fast(s, t, labels) == expected
+                assert index.query_mr(s, t, labels) == expected
 
 
 class TestCondensedness:

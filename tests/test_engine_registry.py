@@ -17,8 +17,17 @@ from repro.engine import (
     register_alias,
     resolve_engine_spec,
 )
-from repro.errors import BudgetExceededError, EngineError
+from repro.errors import (
+    BudgetExceededError,
+    CapabilityError,
+    EngineError,
+    NonPrimitiveConstraintError,
+    QueryError,
+)
+from repro.graph.digraph import EdgeLabeledDigraph
 from repro.queries import RlcQuery
+
+from tests.helpers import all_primitive_constraints, brute_force_rlc
 
 ALL_ENGINES = (
     "bfs", "bibfs", "dfs", "etc", "rlc-index", "sys1", "sys2", "virtuoso-sim",
@@ -188,6 +197,64 @@ class TestBatchedRlcIndex:
     def test_empty_batch(self, fig2_index):
         engine = RlcIndexEngine.from_index(fig2_index)
         assert engine.query_batch([]) == []
+
+
+class TestEngineBatches:
+    """``EngineBase.query_batch``, the one batched path of every engine."""
+
+    @pytest.fixture
+    def graph(self):
+        return EdgeLabeledDigraph(
+            4, [(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0), (1, 2, 1)], num_labels=3
+        )
+
+    @staticmethod
+    def _mixed_batch(graph):
+        constraints = all_primitive_constraints(graph.num_labels, 2)[:4]
+        return [
+            RlcQuery(s, t, constraints[(s + t) % len(constraints)])
+            for s in range(graph.num_vertices)
+            for t in range(graph.num_vertices)
+        ]
+
+    @pytest.mark.parametrize("name", engine_names())
+    def test_batch_contract(self, name, graph):
+        engine = create_engine(name, graph, **NEEDS_K.get(name, {}))
+        batch = self._mixed_batch(graph)
+        answers = engine.query_batch(batch)
+        assert answers == [engine.query(q) for q in batch]
+        assert answers == [
+            brute_force_rlc(graph, q.source, q.target, q.labels) for q in batch
+        ]
+        with pytest.raises(QueryError, match="unknown source"):
+            engine.query_batch([RlcQuery(99, 0, (0,))])
+        with pytest.raises(QueryError, match="unknown target"):
+            engine.query_batch([RlcQuery(0, 0, (0,)), RlcQuery(0, 99, (0,))])
+        with pytest.raises(NonPrimitiveConstraintError):
+            engine.query_batch([RlcQuery(0, 1, (0, 0))])
+        over_k = RlcQuery(0, 1, (0, 1, 2))
+        if name in NEEDS_K:
+            with pytest.raises(CapabilityError, match=repr(name)):
+                engine.query_batch([over_k])
+        else:
+            assert engine.query_batch([over_k]) == [engine.query(over_k)]
+        assert engine.query_batch([]) == []
+
+    @pytest.mark.parametrize("name", ("bfs", "bibfs", "dfs"))
+    def test_one_automaton_per_distinct_constraint(self, name, graph, monkeypatch):
+        import repro.engine.base as base_module
+
+        calls = []
+        real = base_module.constraint_automaton
+        monkeypatch.setattr(
+            base_module,
+            "constraint_automaton",
+            lambda labels, **kw: (calls.append(tuple(labels)), real(labels, **kw))[1],
+        )
+        engine = create_engine(name, graph)
+        batch = self._mixed_batch(graph)
+        engine.query_batch(batch)
+        assert sorted(calls) == sorted({q.labels for q in batch})
 
 
 class TestBudgetedEngines:

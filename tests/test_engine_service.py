@@ -76,18 +76,11 @@ class TestRun:
         assert report.ok and report.answers == [True] * 6
         assert engine.stats().batched_queries == 6
 
-    def test_short_batch_answers_rejected(self, engine, workload):
-        class LossyEngine:
-            name = "lossy"
-
-            def query_batch(self, queries):
-                return [True] * (len(queries) - 1)
-
-            def stats(self):  # pragma: no cover - protocol completeness
-                return engine.stats()
-
+    def test_short_batch_answers_rejected(self, engine, workload, monkeypatch):
+        real = engine.query_batch
+        monkeypatch.setattr(engine, "query_batch", lambda queries: real(queries)[:-1])
         with pytest.raises(EngineError, match="answers for"):
-            QueryService(LossyEngine()).run(list(workload))
+            QueryService(engine).run(list(workload))
 
 
 class TestCache:

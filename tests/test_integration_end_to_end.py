@@ -41,7 +41,7 @@ class TestFullPipeline:
             NfaBiBfs(graph).query,
             ExtendedTransitiveClosure.build(graph, 2).query,
             index.query,
-            index.query_fast,
+            index.query_mr,
         ]
         for query, expected in workload.labeled_queries():
             for engine in engines:
@@ -92,7 +92,7 @@ class TestPaperNarrative:
         assert index.estimated_size_bytes() < etc.estimated_size_bytes()
         assert index.num_entries < etc.num_entries
 
-    def test_query_faster_than_online_traversal(self, pipeline):
+    def test_index_query_beats_online_traversal(self, pipeline):
         import time
 
         graph, workload, index = pipeline

@@ -6,14 +6,13 @@ Covers the PR-5 API redesign end to end:
   digest stability);
 - randomized parity between ``query_prepared`` and the legacy bool
   path for every registry engine;
-- witness-path validity for every engine advertising the ``witness``
-  capability: the returned path must be a real path of the graph whose
-  label sequence is a power of the constraint;
+- witness-path validity for every engine: the returned path must be a
+  real path of the graph whose label sequence is a power of the
+  constraint;
 - :class:`QueryOutcome` provenance through the service layer (cache
   layer attribution, prepared-constraint digests);
-- capability-based engine selection and the error taxonomy
-  (:class:`EngineOptionError` naming the spec, ``CapabilityError``
-  naming the engine).
+- the error taxonomy (:class:`EngineOptionError` naming the spec,
+  ``CapabilityError`` naming the engine).
 """
 
 from __future__ import annotations
@@ -21,16 +20,12 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import (
-    KNOWN_CAPABILITIES,
     PreparedQuery,
     QueryOutcome,
     QueryService,
     RlcIndexEngine,
     create_engine,
-    engine_capabilities,
     engine_names,
-    engines_with_capabilities,
-    get_engine_class,
 )
 from repro.errors import (
     CapabilityError,
@@ -85,13 +80,6 @@ class TestPreparedQueryObject:
             != engine.prepare_query((0, 1)).digest
         )
 
-    def test_polymorphic_prepare(self, fig2):
-        engine = create_engine("bfs", fig2)
-        prepared = engine.prepare((1, 0))
-        assert isinstance(prepared, PreparedQuery)
-        # Graph binding still returns the engine itself.
-        assert create_engine("bfs", fig2).prepare(fig2).prepared
-
     def test_equality_and_hash_by_labels(self, fig2):
         engine = create_engine("bfs", fig2)
         assert engine.prepare_query((1, 0)) == engine.prepare_query([1, 0])
@@ -130,36 +118,6 @@ class TestPreparedQueryObject:
         prepared = wide.prepare_query((1, 0))
         with pytest.raises(CapabilityError, match="'rlc-index'"):
             narrow.query_prepared(prepared, 2, 5)
-
-
-class TestCapabilities:
-    def test_every_engine_declares_known_capabilities(self):
-        for name in engine_names():
-            assert frozenset(get_engine_class(name).capabilities) <= KNOWN_CAPABILITIES
-
-    def test_selection_by_feature(self):
-        assert "rlc-index" in engines_with_capabilities("witness", "batch-grouped")
-        assert engines_with_capabilities("dynamic") == ()
-        for name in ("sys1", "sys2", "virtuoso-sim"):
-            assert name not in engines_with_capabilities("batch-grouped")
-
-    def test_unknown_capability_token_rejected(self):
-        with pytest.raises(EngineError, match="unknown capabilities"):
-            engines_with_capabilities("telepathy")
-
-    def test_spec_reports_outermost_capabilities(self):
-        # A spec's parameters configure the engine, not its features.
-        assert engine_capabilities("rlc?k=3") == engine_capabilities("rlc-index")
-        assert "batch-grouped" in engine_capabilities("rlc?k=3")
-
-    def test_unknown_declaration_fails_at_class_definition(self):
-        from repro.engine.base import EngineBase
-
-        with pytest.raises(EngineError, match="telepathy"):
-
-            class Bogus(EngineBase):  # noqa: F841
-                name = "bogus"
-                capabilities = frozenset({"telepathy"})
 
 
 class TestPreparedParity:
@@ -231,9 +189,9 @@ class TestPreparedParity:
 
 
 class TestWitnessParity:
-    """Every witness-capable engine returns genuinely path-valid witnesses."""
+    """Every engine returns genuinely path-valid witnesses."""
 
-    @pytest.mark.parametrize("spec", engines_with_capabilities("witness"))
+    @pytest.mark.parametrize("spec", engine_names())
     def test_witnesses_are_real_paths(self, spec):
         verified = 0
         for seed in range(5):
@@ -256,12 +214,6 @@ class TestWitnessParity:
                         )
                         verified += 1
         assert verified > 50, f"{spec}: too few true queries to verify"
-
-    def test_witness_without_capability_raises(self, fig2):
-        engine = create_engine("bfs", fig2)
-        engine.capabilities = frozenset()  # instance-level mask
-        with pytest.raises(CapabilityError, match="'bfs'.*witness"):
-            engine.query_prepared(engine.prepare_query((1, 0)), 2, 5, witness=True)
 
     def test_witness_without_graph_raises(self, fig2_index):
         engine = RlcIndexEngine.from_index(fig2_index)
@@ -311,29 +263,6 @@ class TestServiceOutcomes:
     def test_service_prepare_is_memoized(self, fig2):
         service = QueryService(create_engine("bfs", fig2))
         assert service.prepare((1, 0)) is service.prepare([1, 0])
-
-    def test_peek_is_a_safe_probe_on_malformed_constraints(self, fig2):
-        service = QueryService(create_engine("rlc-index", fig2, k=2))
-        assert service.peek(0, 1, (0, 0)) is None  # non-primitive
-        assert service.peek(0, 1, (99,)) is None  # unknown label
-        assert service.peek(0, 1, (0, 1, 0)) is None  # over k
-
-    def test_witness_request_on_legacy_engine_raises(self, fig2, fig2_index):
-        class LegacyEngine:
-            name = "legacy"
-
-            def query(self, query):
-                return fig2_index.query(query.source, query.target, query.labels)
-
-            def stats(self):
-                from repro.engine import EngineStats
-
-                return EngineStats()
-
-        service = QueryService(LegacyEngine())
-        assert service.query_outcome(2, 5, (1, 0)).answer is True
-        with pytest.raises(CapabilityError, match="legacy"):
-            service.query_outcome(2, 5, (1, 0), witness=True)
 
     def test_outcome_truthiness_matches_answer(self, fig2):
         engine = create_engine("bfs", fig2)

@@ -65,7 +65,7 @@ class TestCrossValidation:
         index = build_rlc_index(graph, 2)
         expected = brute_force_rlc(graph, source, target, labels)
         assert index.query(source, target, labels) == expected
-        assert index.query_fast(source, target, labels) == expected
+        assert index.query_mr(source, target, labels) == expected
 
     @SETTINGS
     @given(graph_and_query())

@@ -108,7 +108,7 @@ def main() -> int:
             local = engine.prepare_query(sample.labels)
             assert prepared["digest"] == local.digest, prepared
             assert prepared["labels"] == list(local.labels), prepared
-            assert "witness" in prepared["capabilities"], prepared
+            assert prepared["engine_id"] == engine.name, prepared
             print(
                 f"/prepare ok: {prepared['constraint']} -> "
                 f"digest {prepared['digest']}"
