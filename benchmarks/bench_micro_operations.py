@@ -171,7 +171,7 @@ def test_prepared_reuse_beats_per_call_compilation():
     """The prepared-parity guarantee: compile-once wins on shared constraints.
 
     Asserted (not just reported) so a regression in the prepared path
-    fails the benchmark smoke run (the CI ``prepared-parity`` job):
+    fails the CI micro-benchmark smoke run:
     preparing each distinct constraint once and re-using it across a
     1000-query shared-constraint workload is >= 1.3x faster than the
     legacy ``query()`` shim, which re-validates the constraint on every

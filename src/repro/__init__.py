@@ -54,7 +54,6 @@ from repro.automata import Nfa, compile_regex, constraint_automaton, parse_regex
 from repro.baselines import ExtendedTransitiveClosure, NfaBfs, NfaBiBfs, NfaDfs
 from repro.core import (
     BuildStats,
-    DynamicRlcIndex,
     ExtendedQueryEvaluator,
     RlcIndex,
     RlcIndexBuilder,
@@ -64,13 +63,12 @@ from repro.core import (
 from repro.engine.base import PreparedQuery, QueryOutcome
 from repro.api import ReplayServer, Session, open_session
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "BudgetExceededError",
     "BuildStats",
     "CapabilityError",
-    "DynamicRlcIndex",
     "EdgeLabeledDigraph",
     "EngineError",
     "EngineOptionError",

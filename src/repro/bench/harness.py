@@ -71,7 +71,7 @@ def run_engine_query_set(
     verify: bool = True,
     batch_size: Optional[int] = None,
 ):
-    """Execute a query set through a :class:`ReachabilityEngine`.
+    """Execute a query set through an :class:`~repro.engine.EngineBase`.
 
     The engine-layer counterpart of :func:`run_query_set`: any engine
     satisfying the contract runs here, so experiment drivers need no
@@ -82,9 +82,10 @@ def run_engine_query_set(
     :data:`TIMED_OUT`; with ``verify``, a wrong answer for a query that
     carries its expected value raises ``AssertionError``.
 
-    Timings include the engine layer's dispatch/stats overhead
-    (~0.4us/query) — the honest cost of the serving stack, paid
-    uniformly by every engine; it is visible only for answerers in the
+    Without ``batch_size`` the timing is of the per-call
+    ``engine.query`` shim, which prepares the constraint and builds a
+    :class:`~repro.engine.QueryOutcome` on every call.  Every engine
+    pays that cost alike; it shows only for answerers in the
     low-microsecond range (the RLC index).
     """
     query_list = list(queries)

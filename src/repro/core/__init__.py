@@ -16,11 +16,9 @@ from repro.core.builder import RlcIndexBuilder, build_rlc_index
 from repro.core.ordering import compute_order
 from repro.core.extended import ExtendedQueryEvaluator
 from repro.core.witness import find_witness_path
-from repro.core.dynamic import DynamicRlcIndex
 
 __all__ = [
     "BuildStats",
-    "DynamicRlcIndex",
     "ExtendedQueryEvaluator",
     "RlcIndex",
     "RlcIndexBuilder",

@@ -280,20 +280,6 @@ class RlcIndex:
             (self._order[aid - 1], mr) for aid, mr in self._in[vertex]
         )
 
-    def out_hubs(self, vertex: int, mr: Mr) -> Sequence[int]:
-        """Sorted access ids of hubs with ``(hub, mr)`` in ``Lout(vertex)``.
-
-        The per-``MR`` point-lookup view behind :meth:`query_mr`,
-        exposed for callers that want to inspect or
-        intersect a constraint's hub lists themselves.  Returns a
-        read-only empty tuple when the vertex has no entry for ``mr``.
-        """
-        return self._out_by_mr[vertex].get(mr, _NO_HUBS)
-
-    def in_hubs(self, vertex: int, mr: Mr) -> Sequence[int]:
-        """Sorted access ids of hubs with ``(hub, mr)`` in ``Lin(vertex)``."""
-        return self._in_by_mr[vertex].get(mr, _NO_HUBS)
-
     @property
     def num_entries(self) -> int:
         """Total entries across all ``Lin`` and ``Lout`` sets."""

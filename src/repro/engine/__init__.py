@@ -2,7 +2,7 @@
 
 Everything that can answer an RLC query — the RLC index, the four
 online/materialized baselines and the three simulated Table V systems
-— is wrapped in the :class:`ReachabilityEngine` contract (``prepare`` /
+— is wrapped in the :class:`EngineBase` contract (``prepare`` /
 ``prepare_query`` / ``query_prepared`` / ``query_batch`` / ``stats``,
 all reaching the backend through one ``_evaluate`` hook), constructed
 by name (or parameterized spec) through the registry, and served
@@ -14,7 +14,7 @@ through the batching/caching :class:`QueryService`::
     report = QueryService(engine).run(workload)
     assert report.ok
 
-- :mod:`repro.engine.base` — the protocol and adapter scaffolding;
+- :mod:`repro.engine.base` — the contract and adapter scaffolding;
 - :mod:`repro.engine.adapters` — the eight engines;
 - :mod:`repro.engine.registry` — string-keyed construction and the
   ``name[?key=value&...]`` spec grammar;
@@ -26,7 +26,6 @@ from repro.engine.base import (
     EngineStats,
     PreparedQuery,
     QueryOutcome,
-    ReachabilityEngine,
 )
 from repro.engine.registry import (
     available_engines,
@@ -34,12 +33,10 @@ from repro.engine.registry import (
     engine_names,
     filter_engine_options,
     get_engine_class,
-    instantiate_engine,
     parse_engine_spec,
     register,
     register_alias,
     resolve_engine_spec,
-    spec_parameter_names,
 )
 from repro.engine.adapters import (
     BfsEngine,
@@ -63,7 +60,6 @@ __all__ = [
     "PreparedQuery",
     "QueryOutcome",
     "QueryService",
-    "ReachabilityEngine",
     "RlcIndexEngine",
     "ServiceReport",
     "Sys1Engine",
@@ -74,10 +70,8 @@ __all__ = [
     "engine_names",
     "filter_engine_options",
     "get_engine_class",
-    "instantiate_engine",
     "parse_engine_spec",
     "register",
     "register_alias",
     "resolve_engine_spec",
-    "spec_parameter_names",
 ]

@@ -11,12 +11,11 @@ This module defines that contract for the repro library:
 - :class:`QueryOutcome` — the structured answer of one query: the
   boolean plus provenance (engine id, whether a service cache served
   it, witness path when requested, wall time);
-- :class:`ReachabilityEngine` — the structural protocol (``name``,
-  ``prepare``, ``prepare_query``, ``query``, ``query_prepared``,
-  ``query_batch``, ``stats``) that callers such as
-  :class:`repro.engine.QueryService` and the benchmark harness program
-  against;
-- :class:`EngineBase` — the scaffolding every adapter inherits.
+- :class:`EngineBase` — the contract (``name``, ``prepare``,
+  ``prepare_query``, ``query``, ``query_prepared``, ``query_batch``,
+  ``stats``) that callers such as :class:`repro.engine.QueryService`
+  and the benchmark harness program against, and the scaffolding every
+  adapter inherits.
 
 An adapter supplies exactly two hooks: ``_prepare(graph)`` builds its
 backend, and ``_evaluate(backend, prepared, source, target) -> bool``
@@ -42,16 +41,7 @@ import threading
 import time
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import (
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.automata.compile import constraint_automaton
 from repro.automata.nfa import Nfa
@@ -71,7 +61,6 @@ __all__ = [
     "EngineBase",
     "PreparedQuery",
     "QueryOutcome",
-    "ReachabilityEngine",
 ]
 
 
@@ -284,55 +273,8 @@ class EngineStats:
         }
 
 
-@runtime_checkable
-class ReachabilityEngine(Protocol):
-    """Structural protocol of an RLC query engine.
-
-    ``prepare(graph)`` performs whatever one-time work the engine needs
-    (index construction, closure materialization, nothing for online
-    traversals) and returns the engine itself so construction chains:
-    ``BfsEngine().prepare(graph).query(q)``.  ``prepare_query`` then
-    validates a constraint into a :class:`PreparedQuery`, which
-    ``query_prepared`` evaluates against any endpoint pair, returning a
-    :class:`QueryOutcome`.
-    """
-
-    name: str
-
-    def prepare(self, graph: EdgeLabeledDigraph) -> "ReachabilityEngine":
-        """Bind to a graph; returns the engine."""
-        ...
-
-    def prepare_query(self, constraint: ConstraintLike) -> PreparedQuery:
-        """Validate a constraint once into a reusable prepared query."""
-        ...
-
-    def query(self, query: RlcQuery) -> bool:
-        """Legacy bool entry point (prepares per call)."""
-        ...
-
-    def query_prepared(
-        self,
-        prepared: ConstraintLike,
-        source: int,
-        target: int,
-        *,
-        witness: bool = False,
-    ) -> QueryOutcome:
-        """Evaluate a prepared constraint for one endpoint pair."""
-        ...
-
-    def query_batch(self, queries: Sequence[RlcQuery]) -> List[bool]:
-        """Answer a batch of queries, preserving input order."""
-        ...
-
-    def stats(self) -> EngineStats:
-        """The engine's cumulative counters."""
-        ...
-
-
 class EngineBase:
-    """Shared adapter scaffolding implementing :class:`ReachabilityEngine`.
+    """The engine contract and the adapter scaffolding that implements it.
 
     Subclasses set ``name`` (the registry key) and ``display_name``
     (the label used in paper tables), and implement two hooks:

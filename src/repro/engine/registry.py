@@ -3,7 +3,7 @@
 Replaces the hand-rolled per-engine dispatch that used to live in
 ``cli.py`` and the experiment drivers: callers name an engine
 (``"rlc-index"``, ``"bibfs"``, ``"sys2"`` ...) and get a prepared
-:class:`~repro.engine.base.ReachabilityEngine` back::
+:class:`~repro.engine.base.EngineBase` back::
 
     from repro.engine import create_engine
 
@@ -43,12 +43,10 @@ __all__ = [
     "engine_names",
     "filter_engine_options",
     "get_engine_class",
-    "instantiate_engine",
     "parse_engine_spec",
     "register",
     "register_alias",
     "resolve_engine_spec",
-    "spec_parameter_names",
 ]
 
 _REGISTRY: Dict[str, Type[EngineBase]] = {}
@@ -149,18 +147,6 @@ def resolve_engine_spec(
     return cls, merged
 
 
-def spec_parameter_names(spec: str) -> set:
-    """Keyword parameters the constructor of a spec's engine accepts."""
-    parameters = inspect.signature(get_engine_class(spec).__init__).parameters
-    return {
-        name
-        for name, parameter in parameters.items()
-        if name != "self"
-        and parameter.kind
-        in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-    }
-
-
 def filter_engine_options(spec: str, offered: Dict) -> Dict:
     """Drop offered options the spec's engine constructor does not accept.
 
@@ -171,31 +157,19 @@ def filter_engine_options(spec: str, offered: Dict) -> Dict:
     as keyword arguments) are forwarded verbatim and raise ``TypeError``
     when misspelled.
     """
-    accepted = spec_parameter_names(spec)
+    parameters = inspect.signature(get_engine_class(spec).__init__).parameters
+    keyword_kinds = (
+        inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        inspect.Parameter.KEYWORD_ONLY,
+    )
     return {
         key: value
         for key, value in offered.items()
-        if value is not None and key in accepted
+        if value is not None
+        and key != "self"
+        and key in parameters
+        and parameters[key].kind in keyword_kinds
     }
-
-
-def instantiate_engine(spec: str, **options) -> EngineBase:
-    """Construct (without preparing) the engine a spec names.
-
-    A constructor keyword the engine does not accept raises
-    :class:`~repro.errors.EngineOptionError` — still a ``TypeError``,
-    but the message names the offending spec string instead of a bare
-    ``__init__`` signature complaint, so a bad spec is identifiable in a
-    service log without a traceback.
-    """
-    cls, merged = resolve_engine_spec(spec, **options)
-    try:
-        return cls(**merged)
-    except TypeError as exc:
-        raise EngineOptionError(
-            f"engine spec {spec!r} with options "
-            f"{sorted(merged)} does not fit {cls.__name__}: {exc}"
-        ) from exc
 
 
 def create_engine(name: str, graph: EdgeLabeledDigraph, **options) -> EngineBase:
@@ -204,11 +178,19 @@ def create_engine(name: str, graph: EdgeLabeledDigraph, **options) -> EngineBase
     ``options`` are forwarded to the engine's constructor (e.g. ``k``
     for the RLC index and ETC, ``time_budget`` for ETC); an option the
     engine does not accept raises
-    :class:`~repro.errors.EngineOptionError` (a ``TypeError`` subclass
-    that names the spec).  Spec parameters (``"rlc?k=3"``) override
-    ``options``.
+    :class:`~repro.errors.EngineOptionError` (a ``TypeError`` subclass)
+    whose message names the spec string rather than a bare ``__init__``
+    signature, so a bad spec is identifiable in a service log without a
+    traceback.  Spec parameters (``"rlc?k=3"``) override ``options``.
     """
-    engine = instantiate_engine(name, **options)
+    cls, merged = resolve_engine_spec(name, **options)
+    try:
+        engine = cls(**merged)
+    except TypeError as exc:
+        raise EngineOptionError(
+            f"engine spec {name!r} with options "
+            f"{sorted(merged)} does not fit {cls.__name__}: {exc}"
+        ) from exc
     engine.prepare(graph)
     return engine
 

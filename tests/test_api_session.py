@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
+import repro
 from repro.api import Session, open_session
 from repro.engine import QueryService, RlcIndexEngine, create_engine
 from repro.errors import EngineError, GraphError
@@ -217,3 +220,45 @@ class TestLifecycle:
         counters = session.stats()["rlc-index"]
         assert counters["cache_hits"] == 1
         assert counters["cache_misses"] == 1
+
+
+#: Names the top-level package no longer exports: the engine layer is
+#: imported from :mod:`repro.engine`, and ``DynamicRlcIndex`` is gone.
+RETIRED = (
+    "DynamicRlcIndex",
+    "EngineStats",
+    "QueryService",
+    "ReachabilityEngine",
+    "ServiceReport",
+    "available_engines",
+    "create_engine",
+    "engine_names",
+)
+
+
+class TestPackageSurface:
+    """``repro`` exposes its facade only, with no import shims."""
+
+    def test_canonical_engine_imports_stay_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            from repro.engine import QueryService, create_engine  # noqa: F401
+
+    def test_facade_imports_stay_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            from repro import Session, open_session  # noqa: F401
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+        for name in RETIRED:
+            assert name not in dir(repro)
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
+
+    def test_all_names_resolve(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            for name in repro.__all__:
+                assert getattr(repro, name) is not None, name

@@ -20,7 +20,7 @@ from repro.queries import RlcQuery
 
 
 class _FakeEngine:
-    """Minimal ReachabilityEngine satisfying the harness contract."""
+    """Stand-in with the slice of the ``EngineBase`` contract the harness uses."""
 
     name = "fake"
 
@@ -36,7 +36,7 @@ class _FakeEngine:
     def query_batch(self, queries):
         return [self.query(q) for q in queries]
 
-    def stats(self):  # pragma: no cover - protocol completeness
+    def stats(self):  # pragma: no cover - contract completeness
         return None
 
 
