@@ -3,7 +3,8 @@
 Not a paper artifact — these pin the costs that the macro results are
 built from: minimum-repeat computation (the KMP hot path of Algorithm
 2), constraint-automaton construction, single product-BFS steps, index
-point queries (merge join vs hub lookup), and workload verification.
+point queries (validated ``query`` vs the pre-validated ``query_mr``
+hub lookup), and workload verification.
 Regressions here surface before they blur a paper-level table.
 """
 
@@ -38,7 +39,7 @@ def test_constraint_automaton_build(benchmark):
     benchmark(constraint_automaton, (0, 1, 2))
 
 
-def test_index_query_merge_join(benchmark):
+def test_index_query(benchmark):
     index = dataset_index("EP")
     workload = dataset_workload("EP", num_queries=50)
     query = workload.true_queries[0]

@@ -11,7 +11,7 @@ index improves on by up to six orders of magnitude (Fig. 3).
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Sequence, Set
+from typing import Callable, List, Sequence, Set
 
 from repro.automata.compile import compile_regex, constraint_automaton
 from repro.automata.nfa import Nfa
@@ -53,17 +53,14 @@ def evaluate_nfa_bfs(
     return False
 
 
-class NfaBfs:
-    """Online BFS evaluator bound to a graph.
+class _NfaTraversal:
+    """An online evaluator bound to a graph; subclasses set ``_evaluate``.
 
-    >>> from repro.graph.generators import paper_figure2
-    >>> g = paper_figure2()
-    >>> engine = NfaBfs(g)
-    >>> engine.query(g.label_dictionary and 2 or 2, 5, (1, 0))  # v3, v6, (l2 l1)+
-    True
+    ``_evaluate(graph, source, target, nfa)`` answers one query over the
+    graph x automaton product; everything else is shared.
     """
 
-    name = "BFS"
+    _evaluate: Callable[[EdgeLabeledDigraph, int, int, Nfa], bool]
 
     def __init__(self, graph: EdgeLabeledDigraph) -> None:
         self._graph = graph
@@ -75,7 +72,7 @@ class NfaBfs:
     def query(self, source: int, target: int, labels: Sequence[int]) -> bool:
         """Evaluate the RLC query ``(source, target, labels+)``."""
         label_tuple = validate_rlc_query(self._graph, source, target, labels)
-        return evaluate_nfa_bfs(
+        return self._evaluate(
             self._graph, source, target, constraint_automaton(label_tuple)
         )
 
@@ -88,7 +85,21 @@ class NfaBfs:
     def query_regex(self, source: int, target: int, expression: Regex) -> bool:
         """Evaluate an arbitrary regular path reachability query."""
         nfa = compile_regex(expression, label_encoder=self._encode_atom)
-        return evaluate_nfa_bfs(self._graph, source, target, nfa)
+        return self._evaluate(self._graph, source, target, nfa)
 
     def _encode_atom(self, atom) -> int:
         return self._graph.encode_sequence((atom,))[0]
+
+
+class NfaBfs(_NfaTraversal):
+    """Online BFS evaluator bound to a graph.
+
+    >>> from repro.graph.generators import paper_figure2
+    >>> g = paper_figure2()
+    >>> engine = NfaBfs(g)
+    >>> engine.query(g.label_dictionary and 2 or 2, 5, (1, 0))  # v3, v6, (l2 l1)+
+    True
+    """
+
+    name = "BFS"
+    _evaluate = staticmethod(evaluate_nfa_bfs)

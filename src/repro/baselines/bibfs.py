@@ -10,13 +10,11 @@ is true iff the searches meet on a common ``(vertex, nfa_state)`` pair.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.automata.compile import compile_regex, constraint_automaton
 from repro.automata.nfa import Nfa
-from repro.automata.regex import Regex
+from repro.baselines.bfs import _NfaTraversal
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.queries import validate_rlc_query
 
 __all__ = ["NfaBiBfs", "evaluate_nfa_bibfs"]
 
@@ -91,35 +89,8 @@ def _expand_backward(graph, reverse_nfa, frontier, visited, other_visited):
     return next_frontier
 
 
-class NfaBiBfs:
+class NfaBiBfs(_NfaTraversal):
     """Bidirectional online evaluator bound to a graph."""
 
     name = "BiBFS"
-
-    def __init__(self, graph: EdgeLabeledDigraph) -> None:
-        self._graph = graph
-
-    @property
-    def graph(self) -> EdgeLabeledDigraph:
-        return self._graph
-
-    def query(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Evaluate the RLC query ``(source, target, labels+)``."""
-        label_tuple = validate_rlc_query(self._graph, source, target, labels)
-        return evaluate_nfa_bibfs(
-            self._graph, source, target, constraint_automaton(label_tuple)
-        )
-
-    def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Evaluate ``(source, target, labels*)`` (reduces to Kleene plus)."""
-        if source == target:
-            return True
-        return self.query(source, target, labels)
-
-    def query_regex(self, source: int, target: int, expression: Regex) -> bool:
-        """Evaluate an arbitrary regular path reachability query."""
-        nfa = compile_regex(expression, label_encoder=self._encode_atom)
-        return evaluate_nfa_bibfs(self._graph, source, target, nfa)
-
-    def _encode_atom(self, atom) -> int:
-        return self._graph.encode_sequence((atom,))[0]
+    _evaluate = staticmethod(evaluate_nfa_bibfs)

@@ -8,13 +8,11 @@ of :mod:`repro.baselines.bfs` with a LIFO expansion order.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import List, Set
 
-from repro.automata.compile import compile_regex, constraint_automaton
 from repro.automata.nfa import Nfa
-from repro.automata.regex import Regex
+from repro.baselines.bfs import _NfaTraversal
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.queries import validate_rlc_query
 
 __all__ = ["NfaDfs", "evaluate_nfa_dfs"]
 
@@ -47,35 +45,8 @@ def evaluate_nfa_dfs(
     return False
 
 
-class NfaDfs:
+class NfaDfs(_NfaTraversal):
     """Online DFS evaluator bound to a graph."""
 
     name = "DFS"
-
-    def __init__(self, graph: EdgeLabeledDigraph) -> None:
-        self._graph = graph
-
-    @property
-    def graph(self) -> EdgeLabeledDigraph:
-        return self._graph
-
-    def query(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Evaluate the RLC query ``(source, target, labels+)``."""
-        label_tuple = validate_rlc_query(self._graph, source, target, labels)
-        return evaluate_nfa_dfs(
-            self._graph, source, target, constraint_automaton(label_tuple)
-        )
-
-    def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Evaluate ``(source, target, labels*)`` (reduces to Kleene plus)."""
-        if source == target:
-            return True
-        return self.query(source, target, labels)
-
-    def query_regex(self, source: int, target: int, expression: Regex) -> bool:
-        """Evaluate an arbitrary regular path reachability query."""
-        nfa = compile_regex(expression, label_encoder=self._encode_atom)
-        return evaluate_nfa_dfs(self._graph, source, target, nfa)
-
-    def _encode_atom(self, atom) -> int:
-        return self._graph.encode_sequence((atom,))[0]
+    _evaluate = staticmethod(evaluate_nfa_dfs)

@@ -1,7 +1,8 @@
 """The RLC index — the paper's primary contribution.
 
-- :class:`RlcIndex` — per-vertex ``Lin``/``Lout`` entry sets with the
-  merge-join query algorithm (Algorithm 1 / Definition 4);
+- :class:`RlcIndex` — per-vertex ``Lin``/``Lout`` entry sets, grouped
+  by minimum repeat, with the query algorithm (Algorithm 1 /
+  Definition 4);
 - :class:`RlcIndexBuilder` / :func:`build_rlc_index` — the indexing
   algorithm (Algorithm 2): eager or lazy kernel-based search with
   pruning rules PR1-PR3 over a 2-hop-style vertex ordering;

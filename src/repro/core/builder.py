@@ -41,11 +41,10 @@ which our tests validate against brute force exhaustively.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.index import BuildStats, RlcIndex
+from repro.core.index import BuildStats, RlcIndex, hubs_answer
 from repro.core.ordering import compute_order
 from repro.errors import BudgetExceededError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -58,7 +57,6 @@ from repro.labels.minimum_repeat import (
 __all__ = ["RlcIndexBuilder", "build_rlc_index"]
 
 Mr = Tuple[int, ...]
-Entry = Tuple[int, Mr]
 
 STRATEGIES = ("eager", "lazy")
 
@@ -114,8 +112,6 @@ class RlcIndexBuilder:
 
         n = graph.num_vertices
         self._aid: List[int] = [0] * n
-        self._out_lists: List[List[Entry]] = [[] for _ in range(n)]
-        self._in_lists: List[List[Entry]] = [[] for _ in range(n)]
         self._out_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
         self._in_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
         self.stats = BuildStats()
@@ -145,8 +141,6 @@ class RlcIndexBuilder:
             num_vertices=self._graph.num_vertices,
             num_labels=self._graph.num_labels,
             order=order,
-            out_lists=self._out_lists,
-            in_lists=self._in_lists,
             out_by_mr=self._out_by_mr,
             in_by_mr=self._in_by_mr,
             build_stats=self.stats,
@@ -332,48 +326,25 @@ class RlcIndexBuilder:
             self.stats.duplicates += 1
             return False
         if self._use_pr1:
-            source, target = (vertex, origin) if backward else (origin, vertex)
-            if self._snapshot_query(source, target, mr):
+            # PR1: Algorithm 1 on the partial index.  ``hubs`` is the
+            # vertex's own side of the probe; the origin supplies the other.
+            if backward:
+                answered = hubs_answer(
+                    hubs, self._in_by_mr[origin].get(mr), aid[vertex], origin_aid
+                )
+            else:
+                answered = hubs_answer(
+                    self._out_by_mr[origin].get(mr), hubs, origin_aid, aid[vertex]
+                )
+            if answered:
                 self.stats.pruned_pr1 += 1
                 return False
-        if backward:
-            self._out_lists[vertex].append((origin_aid, mr))
-        else:
-            self._in_lists[vertex].append((origin_aid, mr))
         if hubs is None:
             by_mr[mr] = [origin_aid]
         else:
             hubs.append(origin_aid)
         self.stats.inserted += 1
         return True
-
-    def _snapshot_query(self, source: int, target: int, mr: Mr) -> bool:
-        """Algorithm 1 against the current partial index (PR1's oracle)."""
-        aid = self._aid
-        hubs_out = self._out_by_mr[source].get(mr)
-        hubs_in = self._in_by_mr[target].get(mr)
-        if hubs_out and _sorted_contains(hubs_out, aid[target]):
-            return True
-        if hubs_in and _sorted_contains(hubs_in, aid[source]):
-            return True
-        if not hubs_out or not hubs_in:
-            return False
-        i = j = 0
-        len_out, len_in = len(hubs_out), len(hubs_in)
-        while i < len_out and j < len_in:
-            a, b = hubs_out[i], hubs_in[j]
-            if a < b:
-                i += 1
-            elif a > b:
-                j += 1
-            else:
-                return True
-        return False
-
-
-def _sorted_contains(values: List[int], needle: int) -> bool:
-    position = bisect_left(values, needle)
-    return position < len(values) and values[position] == needle
 
 
 def build_rlc_index(

@@ -8,26 +8,22 @@ of entries,
 
 and a query ``(s, t, L+)`` is true iff ``(t, L) in Lout(s)``, or
 ``(s, L) in Lin(t)``, or some hub ``x`` has ``(x, L) in Lout(s)`` and
-``(x, L) in Lin(t)`` (checked with a merge join over the lists, which
-are kept sorted by hub access id — Algorithm 1).
+``(x, L) in Lin(t)`` (Algorithm 1, :func:`hubs_answer`).
 
-Entries are stored as ``(hub_access_id, mr)`` tuples.  Because the
-builder processes vertices in access-id order and each search only
-inserts entries whose hub is the search origin, per-vertex lists come
-out already sorted — no post-sorting is needed, matching the paper's
-complexity claim for Algorithm 1.
-
-A parallel ``{mr: [hub_access_ids]}`` view of the same entries supports
-the O(|hubs(L)|) point-lookup variant used heavily by the builder's
-PR1 pruning checks (and exposed as :meth:`RlcIndex.query_mr`).
+Each vertex stores its entries grouped by minimum repeat:
+``{mr: [hub_access_ids]}``, one dict for ``Lout`` and one for ``Lin``.
+Because the builder processes vertices in access-id order and each
+search only inserts entries whose hub is the search origin, every hub
+list comes out already sorted — no post-sorting is needed, matching the
+paper's complexity claim for Algorithm 1.  A query reads only the two
+hub lists of its constraint.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,14 +31,52 @@ from repro.errors import QueryError, SerializationError
 from repro.labels.sequences import LabelDictionary
 from repro.queries import RlcQuery, validate_rlc_query
 
-__all__ = ["BuildStats", "RlcIndex"]
+__all__ = ["BuildStats", "RlcIndex", "hubs_answer"]
 
 Mr = Tuple[int, ...]
 Entry = Tuple[int, Mr]  # (hub access id, minimum repeat)
+HubLists = Dict[Mr, List[int]]  # mr -> ascending hub access ids
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
-_NO_HUBS: Tuple[int, ...] = ()
+
+def hubs_answer(
+    hubs_out: Optional[Sequence[int]],
+    hubs_in: Optional[Sequence[int]],
+    source_aid: int,
+    target_aid: int,
+) -> bool:
+    """Algorithm 1 over the hub lists of one constraint ``L``.
+
+    ``hubs_out`` holds the hub access ids ``x`` with ``(x, L)`` in
+    ``Lout(s)`` and ``hubs_in`` those with ``(x, L)`` in ``Lin(t)``,
+    both ascending (``None`` or empty when there are none).  Case 2
+    both ways (is the opposite endpoint itself a recorded hub?), then
+    Case 1 as a sorted-list intersection, in
+    ``O(|hubs_out| + |hubs_in|)``.  Shared by :meth:`RlcIndex.query_mr`
+    and the builder's PR1 check on the partial index.
+    """
+    if hubs_out:
+        position = bisect_left(hubs_out, target_aid)
+        if position < len(hubs_out) and hubs_out[position] == target_aid:
+            return True
+    if hubs_in:
+        position = bisect_left(hubs_in, source_aid)
+        if position < len(hubs_in) and hubs_in[position] == source_aid:
+            return True
+    if not hubs_out or not hubs_in:
+        return False
+    i = j = 0
+    len_out, len_in = len(hubs_out), len(hubs_in)
+    while i < len_out and j < len_in:
+        a, b = hubs_out[i], hubs_in[j]
+        if a < b:
+            i += 1
+        elif a > b:
+            j += 1
+        else:
+            return True
+    return False
 
 
 @dataclass
@@ -83,10 +117,10 @@ class RlcIndex:
 
     Build one with :func:`repro.core.build_rlc_index`; query with
     :meth:`query` (the paper's Algorithm 1) or, for a constraint
-    validated once up front, :meth:`query_mr` (hub-intersection
-    variant, same answers).  The index is
-    self-contained: it can be saved, loaded and queried without the
-    graph (only vertex/label counts are validated).
+    validated once up front, :meth:`query_mr` (same probe, no
+    validation).  The index is self-contained: it can be saved, loaded
+    and queried without the graph (only vertex/label counts are
+    validated).
     """
 
     def __init__(
@@ -96,10 +130,8 @@ class RlcIndex:
         num_vertices: int,
         num_labels: int,
         order: Sequence[int],
-        out_lists: List[List[Entry]],
-        in_lists: List[List[Entry]],
-        out_by_mr: Optional[List[Dict[Mr, List[int]]]] = None,
-        in_by_mr: Optional[List[Dict[Mr, List[int]]]] = None,
+        out_by_mr: List[HubLists],
+        in_by_mr: List[HubLists],
         build_stats: Optional[BuildStats] = None,
         label_dictionary: Optional[LabelDictionary] = None,
     ) -> None:
@@ -110,22 +142,10 @@ class RlcIndex:
         self._aid: List[int] = [0] * num_vertices
         for position, vertex in enumerate(self._order):
             self._aid[vertex] = position + 1
-        self._out = out_lists
-        self._in = in_lists
-        self._out_by_mr = out_by_mr if out_by_mr is not None else self._group(out_lists)
-        self._in_by_mr = in_by_mr if in_by_mr is not None else self._group(in_lists)
+        self._out_by_mr = out_by_mr
+        self._in_by_mr = in_by_mr
         self.build_stats = build_stats
         self.label_dictionary = label_dictionary
-
-    @staticmethod
-    def _group(lists: List[List[Entry]]) -> List[Dict[Mr, List[int]]]:
-        grouped: List[Dict[Mr, List[int]]] = []
-        for entries in lists:
-            by_mr: Dict[Mr, List[int]] = {}
-            for hub_aid, mr in entries:
-                by_mr.setdefault(mr, []).append(hub_aid)
-            grouped.append(by_mr)
-        return grouped
 
     # ------------------------------------------------------------------
     # Metadata (duck-typed like a graph for query validation)
@@ -166,9 +186,9 @@ class RlcIndex:
     # ------------------------------------------------------------------
 
     def query(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Algorithm 1: Case-2 membership checks, then the merge join."""
+        """Algorithm 1: validate the constraint, then probe its hub lists."""
         mr = validate_rlc_query(self, source, target, labels, k=self._k)
-        return self._query_merge_join(source, target, mr)
+        return self.query_mr(source, target, mr)
 
     def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
         """Kleene-star variant: true when ``source == target`` (empty path)."""
@@ -180,8 +200,8 @@ class RlcIndex:
         """Batched Algorithm 1: validate each distinct constraint once.
 
         Every query then costs one :meth:`query_mr` hub probe instead of
-        full validation and the entry-list merge join; answers match
-        :meth:`query` element-wise, errors included.
+        full validation; answers match :meth:`query` element-wise,
+        errors included.
         """
         validated: Dict[Tuple[int, ...], Mr] = {}
         answers: List[bool] = []
@@ -195,103 +215,55 @@ class RlcIndex:
             answers.append(self.query_mr(query.source, query.target, mr))
         return answers
 
-    def _query_merge_join(self, source: int, target: int, mr: Mr) -> bool:
-        out_entries = self._out[source]
-        in_entries = self._in[target]
-        # Case 2 of Definition 4.
-        if _contains_entry(out_entries, self._aid[target], mr):
-            return True
-        if _contains_entry(in_entries, self._aid[source], mr):
-            return True
-        # Case 1: merge join on hub access id; within an aligned hub
-        # group, the constraint must appear on both sides.
-        i = j = 0
-        len_out, len_in = len(out_entries), len(in_entries)
-        while i < len_out and j < len_in:
-            hub_out = out_entries[i][0]
-            hub_in = in_entries[j][0]
-            if hub_out < hub_in:
-                i += 1
-            elif hub_out > hub_in:
-                j += 1
-            else:
-                hub = hub_out
-                found_out = False
-                scan = i
-                while scan < len_out and out_entries[scan][0] == hub:
-                    if out_entries[scan][1] == mr:
-                        found_out = True
-                        break
-                    scan += 1
-                if found_out:
-                    scan = j
-                    while scan < len_in and in_entries[scan][0] == hub:
-                        if in_entries[scan][1] == mr:
-                            return True
-                        scan += 1
-                while i < len_out and out_entries[i][0] == hub:
-                    i += 1
-                while j < len_in and in_entries[j][0] == hub:
-                    j += 1
-        return False
-
     def query_mr(self, source: int, target: int, mr: Mr) -> bool:
         """Point query for an **already-validated** primitive constraint.
 
-        The hub-intersection form of Algorithm 1 and the evaluation
-        behind :class:`repro.engine.RlcIndexEngine` and
-        :meth:`query_batch`: endpoints are bounds-checked here (cheap),
-        but ``mr`` must already be the validated minimum repeat —
-        callers amortize that through
+        The evaluation behind :meth:`query`, :meth:`query_batch` and
+        :class:`repro.engine.RlcIndexEngine`: endpoints are
+        bounds-checked here (cheap), but ``mr`` must already be the
+        validated minimum repeat — callers amortize that through
         :func:`repro.queries.validate_rlc_query` or a
         :class:`~repro.engine.PreparedQuery`.  Looks up only the hub
-        lists of the constraint, ``O(|hubs_out(L)| + |hubs_in(L)|)``
-        instead of the merge join's ``O(|Lout(s)| + |Lin(t)|)``: Case 2
-        both ways (is the opposite endpoint itself a recorded hub?),
-        then Case 1 as a sorted-list intersection.
+        lists of the constraint and answers with :func:`hubs_answer`.
         """
         if not 0 <= source < self._num_vertices:
             raise QueryError(f"unknown source vertex: {source}")
         if not 0 <= target < self._num_vertices:
             raise QueryError(f"unknown target vertex: {target}")
-        hubs_out = self._out_by_mr[source].get(mr, _NO_HUBS)
-        hubs_in = self._in_by_mr[target].get(mr, _NO_HUBS)
-        if hubs_out and _binary_contains(hubs_out, self._aid[target]):
-            return True
-        if hubs_in and _binary_contains(hubs_in, self._aid[source]):
-            return True
-        if not hubs_out or not hubs_in:
-            return False
-        return _sorted_intersect(hubs_out, hubs_in)
+        return hubs_answer(
+            self._out_by_mr[source].get(mr),
+            self._in_by_mr[target].get(mr),
+            self._aid[source],
+            self._aid[target],
+        )
 
     # ------------------------------------------------------------------
     # Entry inspection
     # ------------------------------------------------------------------
 
     def lout(self, vertex: int) -> Tuple[Tuple[int, Mr], ...]:
-        """``Lout(vertex)`` as ``(hub_vertex_id, mr)`` pairs."""
-        return tuple(
-            (self._order[aid - 1], mr) for aid, mr in self._out[vertex]
-        )
+        """``Lout(vertex)`` as ``(hub_vertex_id, mr)`` pairs, by hub access id."""
+        return self._hub_vertex_entries(self._out_by_mr[vertex])
 
     def lin(self, vertex: int) -> Tuple[Tuple[int, Mr], ...]:
-        """``Lin(vertex)`` as ``(hub_vertex_id, mr)`` pairs."""
+        """``Lin(vertex)`` as ``(hub_vertex_id, mr)`` pairs, by hub access id."""
+        return self._hub_vertex_entries(self._in_by_mr[vertex])
+
+    def _hub_vertex_entries(self, by_mr: HubLists) -> Tuple[Tuple[int, Mr], ...]:
         return tuple(
-            (self._order[aid - 1], mr) for aid, mr in self._in[vertex]
+            (self._order[aid - 1], mr) for aid, mr in _sorted_entries(by_mr)
         )
 
     @property
     def num_entries(self) -> int:
         """Total entries across all ``Lin`` and ``Lout`` sets."""
-        return sum(len(entries) for entries in self._out) + sum(
-            len(entries) for entries in self._in
-        )
+        return sum(self.entry_counts())
 
     def entry_counts(self) -> Tuple[int, int]:
         """``(total Lout entries, total Lin entries)``."""
         return (
-            sum(len(entries) for entries in self._out),
-            sum(len(entries) for entries in self._in),
+            sum(map(_entry_count, self._out_by_mr)),
+            sum(map(_entry_count, self._in_by_mr)),
         )
 
     def entry_distribution(self) -> Dict[str, float]:
@@ -302,7 +274,8 @@ class RlcIndex:
         on ER graphs); these figures quantify that skew.
         """
         per_vertex = [
-            len(self._out[v]) + len(self._in[v]) for v in range(self._num_vertices)
+            _entry_count(out) + _entry_count(in_)
+            for out, in_ in zip(self._out_by_mr, self._in_by_mr)
         ]
         if not per_vertex:
             return {"max": 0, "mean": 0.0, "nonzero_vertices": 0}
@@ -321,15 +294,15 @@ class RlcIndex:
         :meth:`query`.
         """
         mr = validate_rlc_query(self, source, target, labels, k=self._k)
-        if _contains_entry(self._out[source], self._aid[target], mr):
-            return "case2: (t, L) in Lout(s)"
-        if _contains_entry(self._in[target], self._aid[source], mr):
-            return "case2: (s, L) in Lin(t)"
         hubs_out = self._out_by_mr[source].get(mr, ())
-        hubs_in = set(self._in_by_mr[target].get(mr, ()))
-        for hub_aid in hubs_out:
-            if hub_aid in hubs_in:
-                return f"case1: common hub v{self._order[hub_aid - 1]}"
+        hubs_in = self._in_by_mr[target].get(mr, ())
+        if self._aid[target] in hubs_out:
+            return "case2: (t, L) in Lout(s)"
+        if self._aid[source] in hubs_in:
+            return "case2: (s, L) in Lin(t)"
+        common = set(hubs_out).intersection(hubs_in)
+        if common:
+            return f"case1: common hub v{self._order[min(common) - 1]}"
         return "false: no entry pair"
 
     def estimated_size_bytes(self) -> int:
@@ -339,12 +312,12 @@ class RlcIndex:
         :meth:`repro.baselines.ExtendedTransitiveClosure.estimated_size_bytes`,
         so Table IV's RLC-vs-ETC comparison is apples-to-apples.
         """
-        total = 0
-        for side in (self._out, self._in):
-            for entries in side:
-                for _, mr in entries:
-                    total += 4 + 2 + len(mr)
-        return total
+        return sum(
+            (4 + 2 + len(mr)) * len(hubs)
+            for side in (self._out_by_mr, self._in_by_mr)
+            for by_mr in side
+            for mr, hubs in by_mr.items()
+        )
 
     def condensedness_violations(self, limit: int = 10) -> List[Tuple[int, int, Mr]]:
         """Entries violating Definition 5 (should be empty, Theorem 2).
@@ -359,20 +332,13 @@ class RlcIndex:
         offending ``(s, t, L)`` triples; Theorem 2 says none exist.
         """
         violations: List[Tuple[int, int, Mr]] = []
-        for s in range(self._num_vertices):
-            for hub_aid, mr in self._out[s]:
-                t = self._order[hub_aid - 1]
-                if self._has_common_hub(s, t, mr, exclude_aid=hub_aid):
-                    violations.append((s, t, mr))
-                    if len(violations) >= limit:
-                        return violations
-        for t in range(self._num_vertices):
-            for hub_aid, mr in self._in[t]:
-                s = self._order[hub_aid - 1]
-                if self._has_common_hub(s, t, mr, exclude_aid=hub_aid):
-                    violations.append((s, t, mr))
-                    if len(violations) >= limit:
-                        return violations
+        for side, vertex, hub_aid, mr in self._entries():
+            hub = self._order[hub_aid - 1]
+            s, t = (vertex, hub) if side == 0 else (hub, vertex)
+            if self._has_common_hub(s, t, mr, exclude_aid=hub_aid):
+                violations.append((s, t, mr))
+                if len(violations) >= limit:
+                    return violations
         return violations
 
     def _has_common_hub(
@@ -396,30 +362,34 @@ class RlcIndex:
                 return True
         return False
 
+    def _entries(self) -> Iterator[Tuple[int, int, int, Mr]]:
+        """Every entry as ``(side, vertex, hub_aid, mr)``: side 0 is ``Lout``.
+
+        Ordered by side, vertex, then ``(hub_aid, mr)``.
+        """
+        for side_id, side in ((0, self._out_by_mr), (1, self._in_by_mr)):
+            for vertex, by_mr in enumerate(side):
+                for hub_aid, mr in _sorted_entries(by_mr):
+                    yield side_id, vertex, hub_aid, mr
+
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
-        """Persist the index as a compressed numpy archive."""
+        """Persist the index as a compressed numpy archive (no pickles)."""
         owners: List[int] = []
         sides: List[int] = []
         hubs: List[int] = []
         lengths: List[int] = []
         flat_labels: List[int] = []
-        for side_id, side in ((0, self._out), (1, self._in)):
-            for vertex, entries in enumerate(side):
-                for hub_aid, mr in entries:
-                    owners.append(vertex)
-                    sides.append(side_id)
-                    hubs.append(hub_aid)
-                    lengths.append(len(mr))
-                    flat_labels.extend(mr)
-        label_names = (
-            np.asarray(list(self.label_dictionary), dtype=object)
-            if self.label_dictionary is not None
-            else np.asarray([], dtype=object)
-        )
+        for side_id, vertex, hub_aid, mr in self._entries():
+            owners.append(vertex)
+            sides.append(side_id)
+            hubs.append(hub_aid)
+            lengths.append(len(mr))
+            flat_labels.extend(mr)
+        names = list(self.label_dictionary) if self.label_dictionary is not None else []
         np.savez_compressed(
             path,
             format_version=np.int64(_FORMAT_VERSION),
@@ -432,79 +402,64 @@ class RlcIndex:
             hubs=np.asarray(hubs, dtype=np.int64),
             lengths=np.asarray(lengths, dtype=np.int64),
             flat_labels=np.asarray(flat_labels, dtype=np.int64),
-            label_names=label_names,
+            label_names=np.asarray(names, dtype=str),
         )
 
     @classmethod
     def load(cls, path) -> "RlcIndex":
-        """Load an index written by :meth:`save`."""
+        """Load an index written by :meth:`save`; never unpickles anything."""
         try:
-            with np.load(path, allow_pickle=True) as archive:
+            with np.load(path, allow_pickle=False) as archive:
                 version = int(archive["format_version"])
+                if version == 1:
+                    raise SerializationError(
+                        f"{path} is an index archive of format version 1, which "
+                        "stored label names as pickled objects and is no longer "
+                        "loaded; rebuild the index with `repro build` to save "
+                        f"it again as version {_FORMAT_VERSION}"
+                    )
                 if version != _FORMAT_VERSION:
                     raise SerializationError(
                         f"unsupported index format version {version} in {path}"
                     )
                 num_vertices = int(archive["num_vertices"])
-                out_lists: List[List[Entry]] = [[] for _ in range(num_vertices)]
-                in_lists: List[List[Entry]] = [[] for _ in range(num_vertices)]
+                out_by_mr: List[HubLists] = [{} for _ in range(num_vertices)]
+                in_by_mr: List[HubLists] = [{} for _ in range(num_vertices)]
                 owners = archive["owners"].tolist()
                 sides = archive["sides"].tolist()
                 hubs = archive["hubs"].tolist()
                 lengths = archive["lengths"].tolist()
                 flat = archive["flat_labels"].tolist()
                 cursor = 0
+                # save writes each vertex's entries by (hub_aid, mr), so
+                # every hub list is rebuilt in ascending order.
                 for owner, side, hub, length in zip(owners, sides, hubs, lengths):
                     mr = tuple(flat[cursor : cursor + length])
                     cursor += length
-                    (out_lists if side == 0 else in_lists)[owner].append((hub, mr))
-                names = [str(name) for name in archive["label_names"]]
+                    by_mr = (out_by_mr if side == 0 else in_by_mr)[owner]
+                    by_mr.setdefault(mr, []).append(hub)
+                names = archive["label_names"].tolist()
                 return cls(
                     k=int(archive["k"]),
                     num_vertices=num_vertices,
                     num_labels=int(archive["num_labels"]),
                     order=archive["order"].tolist(),
-                    out_lists=out_lists,
-                    in_lists=in_lists,
+                    out_by_mr=out_by_mr,
+                    in_by_mr=in_by_mr,
                     label_dictionary=LabelDictionary(names) if names else None,
                 )
         except SerializationError:
             raise
-        except Exception as exc:  # corrupt archives raise various zip/pickle errors
+        except Exception as exc:  # corrupt archives raise various zip/value errors
             raise SerializationError(
                 f"failed to load index from {path}: {exc}"
             ) from exc
 
 
-def _contains_entry(entries: List[Entry], hub_aid: int, mr: Mr) -> bool:
-    """Membership of ``(hub_aid, mr)`` in an aid-sorted entry list."""
-    position = bisect_left(entries, hub_aid, key=_entry_key)
-    while position < len(entries) and entries[position][0] == hub_aid:
-        if entries[position][1] == mr:
-            return True
-        position += 1
-    return False
+def _sorted_entries(by_mr: HubLists) -> List[Entry]:
+    """One vertex's entries as ``(hub_aid, mr)`` pairs, sorted."""
+    return sorted((hub_aid, mr) for mr, hubs in by_mr.items() for hub_aid in hubs)
 
 
-def _entry_key(entry: Entry) -> int:
-    return entry[0]
-
-
-def _binary_contains(sorted_list: Sequence[int], value: int) -> bool:
-    position = bisect_left(sorted_list, value)
-    return position < len(sorted_list) and sorted_list[position] == value
-
-
-def _sorted_intersect(left: Sequence[int], right: Sequence[int]) -> bool:
-    """True when two sorted hub lists share an element (merge scan)."""
-    i = j = 0
-    len_left, len_right = len(left), len(right)
-    while i < len_left and j < len_right:
-        a, b = left[i], right[j]
-        if a < b:
-            i += 1
-        elif a > b:
-            j += 1
-        else:
-            return True
-    return False
+def _entry_count(by_mr: HubLists) -> int:
+    return sum(map(len, by_mr.values()))

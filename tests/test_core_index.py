@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 
+import numpy as np
 import pytest
 
 from repro.core import build_rlc_index
@@ -210,6 +212,56 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SerializationError):
             RlcIndex.load(tmp_path / "absent.npz")
+
+
+class _CreatesMarker:
+    """Unpickling this object creates the directory ``path``."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def _saved_arrays(tmp_path, index):
+    """The numeric arrays of ``index``'s saved archive, label names left out."""
+    path = tmp_path / "index.npz"
+    index.save(path)
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files if name != "label_names"}
+
+
+class TestLoadRunsNoCode:
+    """``RlcIndex.load`` never unpickles, whatever the archive claims."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pickled_label_names_rejected(self, tmp_path, fig2_index, version):
+        arrays = _saved_arrays(tmp_path, fig2_index)
+        marker = tmp_path / "marker"
+        arrays["format_version"] = np.int64(version)
+        label_names = np.empty(1, dtype=object)
+        label_names[0] = _CreatesMarker(marker)
+        arrays["label_names"] = label_names
+        crafted = tmp_path / f"crafted-v{version}.npz"
+        np.savez(crafted, **arrays)
+        with pytest.raises(SerializationError):
+            RlcIndex.load(crafted)
+        assert not marker.exists()
+
+    def test_version_1_names_the_rebuild(self, tmp_path, fig2_index):
+        arrays = _saved_arrays(tmp_path, fig2_index)
+        arrays["format_version"] = np.int64(1)
+        path = tmp_path / "v1.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(SerializationError, match="repro build"):
+            RlcIndex.load(path)
+
+    def test_saved_label_names_are_plain_strings(self, tmp_path, fig2_index):
+        path = tmp_path / "index.npz"
+        fig2_index.save(path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["label_names"].dtype.kind == "U"
 
 
 class TestSizeModel:

@@ -69,8 +69,13 @@ def public_members(module):
 
 
 def iter_class_members(cls):
-    """Yield ``(name, member)`` for a class's public methods/properties."""
-    for method_name in sorted(vars(cls)):
+    """Yield ``(name, member)`` for a class's public methods/properties.
+
+    Members inherited from a private base (``_Name``) are listed as the
+    class's own: the reference never shows the private base itself.
+    """
+    owners = [cls] + [base for base in cls.__mro__[1:] if base.__name__.startswith("_")]
+    for method_name in sorted(set().union(*map(vars, owners))):
         if method_name.startswith("_"):
             continue
         member = inspect.getattr_static(cls, method_name)
