@@ -6,7 +6,7 @@ trivialize the search at this scale), and the extended Q4 ``a+ b+``
 evaluated with the RLC index plus an online traversal.  Engines are the
 architecturally simulated Sys1 (tuple-at-a-time property graph), Sys2
 (set-at-a-time RDF semi-naive) and VirtuosoSim (transitive rounds over
-sorted sets) — see the :mod:`repro.bench.engines` docstring for how
+sorted sets) — see the :mod:`repro.baselines.simulated` docstring for how
 each simulates its system.
 
 Expected shape: the index wins by orders of magnitude on Q1-Q3 and the
@@ -22,7 +22,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.engines import Sys1PropertyGraphEngine, Sys2RdfEngine, VirtuosoSimEngine
+from repro.baselines.simulated import (
+    Sys1PropertyGraphEngine,
+    Sys2RdfEngine,
+    VirtuosoSimEngine,
+)
 from repro.bench.experiments import experiment_table5
 from repro.graph.stats import label_histogram
 

@@ -40,7 +40,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.service import ServiceReport
 from repro.errors import ReproError
 from repro.queries import RlcQuery
 
@@ -81,22 +80,6 @@ def _require_query(payload: Dict) -> Tuple[int, int, Tuple[int, ...]]:
             "a query needs integer 'source', 'target' and a 'labels' list"
         )
     return source, target, labels
-
-
-def _report_payload(report: ServiceReport) -> Dict:
-    return {
-        "engine": report.engine_name,
-        "answers": [bool(answer) for answer in report.answers],
-        "total": report.total,
-        "seconds": report.seconds,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-        "batches": report.batches,
-        "hit_rate": report.hit_rate,
-        "queries_per_second": report.queries_per_second,
-        "ok": report.ok,
-        "mismatches": len(report.mismatches),
-    }
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -283,7 +266,7 @@ class _SessionHTTPServer(ThreadingHTTPServer):
             raise _BadRequest("'verify' must be a boolean")
         with self._lock:
             report = self.session.run(queries, engine=spec, verify=verify)
-        return _report_payload(report)
+        return report.as_dict()
 
 
 class ReplayServer:

@@ -87,8 +87,8 @@ class Session:
       over a dataset name of the same spelling);
     - ``engine`` — default engine spec for ``query``/``run``/``explain``
       when the call names none (default ``"rlc-index"``);
-    - ``cache_size`` / ``batch_size`` — forwarded to every
-      :class:`QueryService` the session creates;
+    - ``cache_size`` — forwarded to every :class:`QueryService` the
+      session creates;
     - ``scale`` — dataset stand-in scale, used only when ``source``
       names a dataset.
 
@@ -102,12 +102,11 @@ class Session:
         *,
         engine: str = DEFAULT_ENGINE,
         cache_size: int = 4096,
-        batch_size: int = 256,
         scale: float = 1.0,
         graph_name: Optional[str] = None,
     ) -> None:
         graph, resolved_name = self._open_graph(source, scale)
-        self._setup(graph, graph_name or resolved_name, engine, cache_size, batch_size)
+        self._setup(graph, graph_name or resolved_name, engine, cache_size)
 
     def _setup(
         self,
@@ -115,14 +114,12 @@ class Session:
         name: str,
         default_spec: str,
         cache_size: int,
-        batch_size: int,
     ) -> None:
         """Initial state, shared by ``__init__`` and :meth:`from_prepared`."""
         self._graph = graph
         self._name = name
         self._default_spec = default_spec
         self._cache_size = cache_size
-        self._batch_size = batch_size
         self._digest: Optional[str] = None
         # Raw (spec, options) keys and canonical keys alike map to the
         # service that owns an engine; equivalent spellings share one.
@@ -169,16 +166,13 @@ class Session:
         if not engine.prepared:
             raise EngineError("from_prepared needs a prepared engine")
         cache_size = options.pop("cache_size", 4096)
-        batch_size = options.pop("batch_size", 256)
         if options:
             raise EngineError(
                 f"unknown from_prepared options: {', '.join(sorted(options))}"
             )
         session = cls.__new__(cls)
         # engine._graph may legitimately be None (RlcIndexEngine.from_index).
-        session._setup(
-            engine._graph, graph_name or repr(engine), spec, cache_size, batch_size
-        )
+        session._setup(engine._graph, graph_name or repr(engine), spec, cache_size)
         session._services[spec] = session._new_service(engine)
         return session
 
@@ -270,9 +264,7 @@ class Session:
         return service
 
     def _new_service(self, engine: EngineBase) -> QueryService:
-        return QueryService(
-            engine, cache_size=self._cache_size, batch_size=self._batch_size
-        )
+        return QueryService(engine, cache_size=self._cache_size)
 
     # ------------------------------------------------------------------
     # Serving

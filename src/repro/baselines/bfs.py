@@ -11,11 +11,11 @@ index improves on by up to six orders of magnitude (Fig. 3).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Sequence, Set
+from typing import List, Sequence, Set, Union
 
 from repro.automata.compile import compile_regex, constraint_automaton
 from repro.automata.nfa import Nfa
-from repro.automata.regex import Regex
+from repro.automata.regex import Regex, parse_regex
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.queries import validate_rlc_query
 
@@ -54,13 +54,14 @@ def evaluate_nfa_bfs(
 
 
 class _NfaTraversal:
-    """An online evaluator bound to a graph; subclasses set ``_evaluate``.
+    """An online evaluator bound to a graph: one product search per query.
 
-    ``_evaluate(graph, source, target, nfa)`` answers one query over the
-    graph x automaton product; everything else is shared.
+    Every online answerer — the BFS, BiBFS and DFS baselines and the
+    simulated Table V systems — searches the graph x automaton product;
+    only the search loop differs.  Subclasses define that loop as
+    :meth:`evaluate`; constraint validation, compilation and regular
+    expressions are shared here.
     """
-
-    _evaluate: Callable[[EdgeLabeledDigraph, int, int, Nfa], bool]
 
     def __init__(self, graph: EdgeLabeledDigraph) -> None:
         self._graph = graph
@@ -69,12 +70,14 @@ class _NfaTraversal:
     def graph(self) -> EdgeLabeledDigraph:
         return self._graph
 
+    def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
+        """True iff the graph x ``nfa`` product reaches an accepting ``target``."""
+        raise NotImplementedError
+
     def query(self, source: int, target: int, labels: Sequence[int]) -> bool:
         """Evaluate the RLC query ``(source, target, labels+)``."""
         label_tuple = validate_rlc_query(self._graph, source, target, labels)
-        return self._evaluate(
-            self._graph, source, target, constraint_automaton(label_tuple)
-        )
+        return self.evaluate(source, target, constraint_automaton(label_tuple))
 
     def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
         """Evaluate ``(source, target, labels*)`` (reduces to Kleene plus)."""
@@ -82,10 +85,18 @@ class _NfaTraversal:
             return True
         return self.query(source, target, labels)
 
-    def query_regex(self, source: int, target: int, expression: Regex) -> bool:
-        """Evaluate an arbitrary regular path reachability query."""
+    def query_regex(
+        self, source: int, target: int, expression: Union[Regex, str]
+    ) -> bool:
+        """Evaluate an arbitrary regular path reachability query.
+
+        ``expression`` is a parsed :class:`~repro.automata.regex.Regex`
+        or its text, e.g. ``"(0 1)+ 2*"``.
+        """
+        if isinstance(expression, str):
+            expression = parse_regex(expression)
         nfa = compile_regex(expression, label_encoder=self._encode_atom)
-        return self._evaluate(self._graph, source, target, nfa)
+        return self.evaluate(source, target, nfa)
 
     def _encode_atom(self, atom) -> int:
         return self._graph.encode_sequence((atom,))[0]
@@ -97,9 +108,11 @@ class NfaBfs(_NfaTraversal):
     >>> from repro.graph.generators import paper_figure2
     >>> g = paper_figure2()
     >>> engine = NfaBfs(g)
-    >>> engine.query(g.label_dictionary and 2 or 2, 5, (1, 0))  # v3, v6, (l2 l1)+
+    >>> engine.query(2, 5, (1, 0))  # v3, v6, (l2 l1)+
     True
     """
 
     name = "BFS"
-    _evaluate = staticmethod(evaluate_nfa_bfs)
+
+    def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
+        return evaluate_nfa_bfs(self._graph, source, target, nfa)

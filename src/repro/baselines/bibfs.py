@@ -93,4 +93,6 @@ class NfaBiBfs(_NfaTraversal):
     """Bidirectional online evaluator bound to a graph."""
 
     name = "BiBFS"
-    _evaluate = staticmethod(evaluate_nfa_bibfs)
+
+    def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
+        return evaluate_nfa_bibfs(self._graph, source, target, nfa)

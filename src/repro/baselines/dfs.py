@@ -49,4 +49,6 @@ class NfaDfs(_NfaTraversal):
     """Online DFS evaluator bound to a graph."""
 
     name = "DFS"
-    _evaluate = staticmethod(evaluate_nfa_dfs)
+
+    def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
+        return evaluate_nfa_dfs(self._graph, source, target, nfa)

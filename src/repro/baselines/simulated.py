@@ -24,35 +24,33 @@ All three return *correct* answers (the test suite cross-checks them
 against the BFS oracle); only their cost model differs.  Table V's
 conclusions need relative, not absolute, behaviour, so each simulation
 keeps its system's evaluation strategy and cost ordering rather than
-its constant factors.
+its constant factors.  Each class defines only its search loop,
+``evaluate(source, target, nfa)``; validation, constraint compilation
+and regular expressions come from the traversal base the BFS, BiBFS
+and DFS baselines share.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.automata.compile import compile_regex, constraint_automaton
 from repro.automata.nfa import Nfa
-from repro.automata.regex import parse_regex
+from repro.baselines.bfs import _NfaTraversal
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.queries import validate_rlc_query
 
 __all__ = [
     "Sys1PropertyGraphEngine",
     "Sys2RdfEngine",
     "VirtuosoSimEngine",
-    "all_engines",
 ]
 
 
-class _SimulatedEngine:
-    """Shared scaffolding: regex -> NFA with label-name decoding."""
-
-    name = "base"
+class _SimulatedEngine(_NfaTraversal):
+    """A Table V system: an online product search over label names."""
 
     def __init__(self, graph: EdgeLabeledDigraph) -> None:
-        self._graph = graph
+        super().__init__(graph)
         # Engines of this class store labels as strings/IRIs; decode the
         # id -> name table once (the per-edge comparisons stay textual).
         if graph.label_dictionary is not None:
@@ -62,26 +60,6 @@ class _SimulatedEngine:
             ]
         else:
             self._label_names = [f"label_{label}" for label in range(graph.num_labels)]
-
-    @property
-    def graph(self) -> EdgeLabeledDigraph:
-        return self._graph
-
-    def query(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        label_tuple = validate_rlc_query(self._graph, source, target, labels)
-        return self._evaluate(source, target, constraint_automaton(label_tuple))
-
-    def query_regex(self, source: int, target: int, expression) -> bool:
-        if isinstance(expression, str):
-            expression = parse_regex(expression)
-        nfa = compile_regex(expression, label_encoder=self._encode_atom)
-        return self._evaluate(source, target, nfa)
-
-    def _encode_atom(self, atom) -> int:
-        return self._graph.encode_sequence((atom,))[0]
-
-    def _evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
-        raise NotImplementedError
 
 
 class Sys1PropertyGraphEngine(_SimulatedEngine):
@@ -95,7 +73,7 @@ class Sys1PropertyGraphEngine(_SimulatedEngine):
 
     name = "Sys1"
 
-    def _evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
+    def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
         if source == target and nfa.accepts_empty:
             return True
         graph = self._graph
@@ -142,7 +120,7 @@ class Sys2RdfEngine(_SimulatedEngine):
 
     name = "Sys2"
 
-    def _evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
+    def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
         if source == target and nfa.accepts_empty:
             return True
         graph = self._graph
@@ -181,7 +159,7 @@ class VirtuosoSimEngine(_SimulatedEngine):
 
     name = "VirtuosoSim"
 
-    def _evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
+    def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
         if source == target and nfa.accepts_empty:
             return True
         graph = self._graph
@@ -207,11 +185,3 @@ class VirtuosoSimEngine(_SimulatedEngine):
             frontier = produced
         return any((state, target) in reached_set for state in nfa.accept_states)
 
-
-def all_engines(graph: EdgeLabeledDigraph) -> List[_SimulatedEngine]:
-    """Instantiate the three Table V engines over ``graph``."""
-    return [
-        Sys1PropertyGraphEngine(graph),
-        Sys2RdfEngine(graph),
-        VirtuosoSimEngine(graph),
-    ]

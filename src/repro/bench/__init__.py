@@ -2,9 +2,6 @@
 
 - :mod:`repro.bench.harness` — timing helpers, time-capped query-set
   execution (the paper's timeout ``X`` marks), aligned-table rendering;
-- :mod:`repro.bench.engines` — simulated mainstream graph engines for
-  Table V (the paper anonymizes two commercial systems; we substitute
-  architecturally-faithful interpreted engines);
 - :mod:`repro.bench.experiments` — one driver per paper artifact
   (Table III/IV/V, Fig. 3-7, plus the design-choice ablations), each
   returning a :class:`~repro.bench.harness.ResultTable` that the
@@ -21,13 +18,12 @@ from repro.bench.harness import (
     time_call,
 )
 from repro.bench.plotting import ascii_plot, series_from_table
-from repro.bench import engines, experiments
+from repro.bench import experiments
 
 __all__ = [
     "TIMED_OUT",
     "ResultTable",
     "ascii_plot",
-    "engines",
     "experiments",
     "format_micros",
     "format_seconds",

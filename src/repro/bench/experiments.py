@@ -480,7 +480,7 @@ def experiment_table5(
         formatters={"engine_s": format_seconds, "rlc_s": format_seconds},
         notes=[
             "Sys1/Sys2/VirtuosoSim are architecturally simulated engines "
-            "(see repro.bench.engines); X = exceeded time cap",
+            "(see repro.baselines.simulated); X = exceeded time cap",
             "BEP = queries needed for index build time to pay off",
         ],
     )

@@ -145,7 +145,6 @@ def _cmd_run(args) -> int:
         RlcIndexEngine.from_index(index),
         spec=f"rlc-index?k={index.k}",
         graph_name=str(args.index),
-        batch_size=args.batch_size,
         cache_size=args.cache_size,
     )
     queries = list(load_workload(args.workload))
@@ -187,19 +186,7 @@ def _cmd_run(args) -> int:
     if args.json:
         import json
 
-        payload = {
-            "engine": report.engine_name,
-            "total": report.total,
-            "seconds": report.seconds,
-            "queries_per_second": report.queries_per_second,
-            "batches": report.batches,
-            "cache_hits": report.cache_hits,
-            "cache_misses": report.cache_misses,
-            "hit_rate": report.hit_rate,
-            "ok": report.ok,
-            "mismatches": wrong,
-            "answers": [bool(answer) for answer in report.answers],
-        }
+        payload = report.as_dict()
         if witnesses is not None:
             payload["witnesses"] = witnesses
         print(json.dumps(payload))
@@ -209,10 +196,7 @@ def _cmd_run(args) -> int:
         f"({report.seconds / max(report.total, 1) * 1e6:.1f} us/query), "
         f"{wrong} wrong answers"
     )
-    print(
-        f"service: {report.batches} batches of <= {args.batch_size}, "
-        f"cache hit rate {report.hit_rate:.0%}"
-    )
+    print(f"service: cache hit rate {report.hit_rate:.0%}")
     if witnesses is not None:
         found = sum(1 for witness in witnesses if witness is not None)
         print(f"witnesses: {found} paths extracted for true answers")
@@ -233,12 +217,7 @@ def _cmd_engines(args) -> int:
 
 def _open_session(args) -> Session:
     """Session over the command's graph argument (path or dataset name)."""
-    return Session(
-        args.graph,
-        engine=args.engine,
-        cache_size=args.cache_size,
-        batch_size=args.batch_size,
-    )
+    return Session(args.graph, engine=args.engine, cache_size=args.cache_size)
 
 
 def _cmd_bench(args) -> int:
@@ -329,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="replay a workload through an index")
     run.add_argument("index")
     run.add_argument("workload")
-    run.add_argument("--batch-size", type=int, default=256)
     run.add_argument("--cache-size", type=int, default=4096)
     run.add_argument(
         "--graph", default=None,
@@ -362,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recursive bound (default: the workload's recorded k)",
     )
     bench.add_argument("--time-budget", type=float, default=None)
-    bench.add_argument("--batch-size", type=int, default=256)
     bench.add_argument("--cache-size", type=int, default=4096)
     bench.set_defaults(handler=_cmd_bench)
 
@@ -379,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080,
         help="listening port (0 binds an ephemeral one)",
     )
-    serve.add_argument("--batch-size", type=int, default=256)
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument(
         "--quiet", action="store_true",

@@ -16,8 +16,9 @@ through the batching/caching :class:`QueryService`::
 
 - :mod:`repro.engine.base` — the contract and adapter scaffolding;
 - :mod:`repro.engine.adapters` — the eight engines;
-- :mod:`repro.engine.registry` — string-keyed construction and the
-  ``name[?key=value&...]`` spec grammar;
+- :mod:`repro.engine.registry` — the fixed table of engines,
+  string-keyed construction and the ``name[?key=value&...]`` spec
+  grammar;
 - :mod:`repro.engine.service` — batched, cached, verified serving.
 """
 
@@ -34,8 +35,6 @@ from repro.engine.registry import (
     filter_engine_options,
     get_engine_class,
     parse_engine_spec,
-    register,
-    register_alias,
     resolve_engine_spec,
 )
 from repro.engine.adapters import (
@@ -71,7 +70,5 @@ __all__ = [
     "filter_engine_options",
     "get_engine_class",
     "parse_engine_spec",
-    "register",
-    "register_alias",
     "resolve_engine_spec",
 ]

@@ -3,29 +3,31 @@
 Eight engines ship with the library, one per answerer the paper
 evaluates:
 
-==============  =============  ==============================================
-registry key    table label    backend
-==============  =============  ==============================================
-``rlc-index``   RLC            :class:`repro.core.RlcIndex` (Algorithm 1)
-``bfs``         BFS            :class:`repro.baselines.NfaBfs`
-``bibfs``       BiBFS          :class:`repro.baselines.NfaBiBfs`
-``dfs``         DFS            :class:`repro.baselines.NfaDfs`
-``etc``         ETC            :class:`repro.baselines.ExtendedTransitiveClosure`
-``sys1``        Sys1           :class:`repro.bench.engines.Sys1PropertyGraphEngine`
-``sys2``        Sys2           :class:`repro.bench.engines.Sys2RdfEngine`
-``virtuoso-sim``  VirtuosoSim  :class:`repro.bench.engines.VirtuosoSimEngine`
-==============  =============  ==============================================
+================  =============  ================================================
+registry key      table label    backend
+================  =============  ================================================
+``rlc-index``     RLC            :class:`repro.core.RlcIndex` (Algorithm 1)
+``bfs``           BFS            :class:`repro.baselines.NfaBfs`
+``bibfs``         BiBFS          :class:`repro.baselines.NfaBiBfs`
+``dfs``           DFS            :class:`repro.baselines.NfaDfs`
+``etc``           ETC            :class:`repro.baselines.ExtendedTransitiveClosure`
+``sys1``          Sys1           :class:`repro.baselines.simulated.Sys1PropertyGraphEngine`
+``sys2``          Sys2           :class:`repro.baselines.simulated.Sys2RdfEngine`
+``virtuoso-sim``  VirtuosoSim    :class:`repro.baselines.simulated.VirtuosoSimEngine`
+================  =============  ================================================
 
-``rlc`` is an alias of ``rlc-index``.
+:mod:`repro.engine.registry` lists them in a fixed table, with ``rlc``
+as an alias of ``rlc-index``.
 
 Each adapter defines only the two hooks of
 :class:`~repro.engine.base.EngineBase`: ``_prepare`` builds its
 backend and ``_evaluate`` answers one already-validated query.  The
-RLC index probes its per-``MR`` hub lists (:meth:`RlcIndex.query_mr`),
-the traversal baselines run their product search on the prepared
-constraint automaton, and ETC's probe is a bare hash lookup.  The
-three simulated Table V systems answer through their own revalidating
-``query`` — per-query overhead is part of what they simulate.  Point
+RLC index probes its per-``MR`` hub lists (:meth:`RlcIndex.query_mr`)
+and ETC's probe is a bare hash lookup.  The six online answerers —
+three traversal baselines and three simulated Table V systems — share
+one adapter, :class:`_OnlineEngine`: each names its backend class as
+``traversal`` and runs that backend's search loop on the prepared
+constraint automaton, compiled once per prepared constraint.  Point
 queries, prepared queries and batches (one ``prepare_query`` per
 distinct constraint) all reach the backend through that one hook.
 Every engine can extract witness paths — a product BFS over the bound
@@ -36,7 +38,7 @@ graph — except one adopted around a loaded index
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Type
 
 from repro.baselines import (
     ExtendedTransitiveClosure,
@@ -44,13 +46,11 @@ from repro.baselines import (
     NfaBiBfs,
     NfaDfs,
 )
-from repro.baselines.bfs import evaluate_nfa_bfs
-from repro.baselines.bibfs import evaluate_nfa_bibfs
-from repro.baselines.dfs import evaluate_nfa_dfs
+from repro.baselines import simulated
+from repro.baselines.bfs import _NfaTraversal
 from repro.core import build_rlc_index
 from repro.core.index import RlcIndex
 from repro.engine.base import EngineBase, PreparedQuery
-from repro.engine.registry import register, register_alias
 from repro.graph.digraph import EdgeLabeledDigraph
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 
-@register
 class RlcIndexEngine(EngineBase):
     """The RLC index (the paper's contribution)."""
 
@@ -124,59 +123,49 @@ class RlcIndexEngine(EngineBase):
         return index.query_mr(source, target, prepared.labels)
 
 
-class _TraversalEngineAdapter(EngineBase):
-    """Base for the online traversal baselines (BFS / DFS / BiBFS).
+class _OnlineEngine(EngineBase):
+    """Base of the six online answerers: one product search per query.
 
-    Each binds an evaluator function ``(graph, source, target, nfa) ->
-    bool`` and runs it on the
+    ``traversal`` names the backend class; its ``evaluate`` runs on the
     :attr:`~repro.engine.base.PreparedQuery.nfa`, compiled once per
     prepared constraint instead of once per query.
     """
 
-    _evaluator = None
+    traversal: Type[_NfaTraversal]
 
-    def _evaluate(self, backend, prepared: PreparedQuery, source, target) -> bool:
-        """Product search on the prepared constraint automaton."""
-        return type(self)._evaluator(backend.graph, source, target, prepared.nfa)
+    def _prepare(self, graph: EdgeLabeledDigraph) -> _NfaTraversal:
+        return self.traversal(graph)
+
+    def _evaluate(
+        self, backend: _NfaTraversal, prepared: PreparedQuery, source, target
+    ) -> bool:
+        return backend.evaluate(source, target, prepared.nfa)
 
 
-@register
-class BfsEngine(_TraversalEngineAdapter):
+class BfsEngine(_OnlineEngine):
     """Online NFA-guided breadth-first traversal (Section III-B)."""
 
     name = "bfs"
     display_name = "BFS"
-    _evaluator = staticmethod(evaluate_nfa_bfs)
-
-    def _prepare(self, graph: EdgeLabeledDigraph) -> NfaBfs:
-        return NfaBfs(graph)
+    traversal = NfaBfs
 
 
-@register
-class BiBfsEngine(_TraversalEngineAdapter):
+class BiBfsEngine(_OnlineEngine):
     """Bidirectional product BFS, the strongest online baseline."""
 
     name = "bibfs"
     display_name = "BiBFS"
-    _evaluator = staticmethod(evaluate_nfa_bibfs)
-
-    def _prepare(self, graph: EdgeLabeledDigraph) -> NfaBiBfs:
-        return NfaBiBfs(graph)
+    traversal = NfaBiBfs
 
 
-@register
-class DfsEngine(_TraversalEngineAdapter):
+class DfsEngine(_OnlineEngine):
     """Depth-first variant of the online traversal baseline."""
 
     name = "dfs"
     display_name = "DFS"
-    _evaluator = staticmethod(evaluate_nfa_dfs)
-
-    def _prepare(self, graph: EdgeLabeledDigraph) -> NfaDfs:
-        return NfaDfs(graph)
+    traversal = NfaDfs
 
 
-@register
 class EtcEngine(EngineBase):
     """Extended transitive closure, the materialized extreme (Table IV)."""
 
@@ -218,55 +207,25 @@ class EtcEngine(EngineBase):
         return backend.query_mr(source, target, prepared.labels)
 
 
-class _SimulatedEngineAdapter(EngineBase):
-    """Base for the Table V simulated mainstream systems.
-
-    These answer through the backend's own revalidating ``query`` —
-    their per-query fixed costs are part of the system behaviour they
-    simulate.
-    """
-
-    def _evaluate(self, backend, prepared: PreparedQuery, source, target) -> bool:
-        return backend.query(source, target, prepared.labels)
-
-
-@register
-class Sys1Engine(_SimulatedEngineAdapter):
+class Sys1Engine(_OnlineEngine):
     """Simulated tuple-at-a-time property-graph engine (Table V's Sys1)."""
 
     name = "sys1"
     display_name = "Sys1"
-
-    def _prepare(self, graph: EdgeLabeledDigraph):
-        from repro.bench.engines import Sys1PropertyGraphEngine
-
-        return Sys1PropertyGraphEngine(graph)
+    traversal = simulated.Sys1PropertyGraphEngine
 
 
-@register
-class Sys2Engine(_SimulatedEngineAdapter):
+class Sys2Engine(_OnlineEngine):
     """Simulated set-at-a-time semi-naive RDF engine (Table V's Sys2)."""
 
     name = "sys2"
     display_name = "Sys2"
-
-    def _prepare(self, graph: EdgeLabeledDigraph):
-        from repro.bench.engines import Sys2RdfEngine
-
-        return Sys2RdfEngine(graph)
+    traversal = simulated.Sys2RdfEngine
 
 
-@register
-class VirtuosoSimEngine(_SimulatedEngineAdapter):
+class VirtuosoSimEngine(_OnlineEngine):
     """Simulated SPARQL-style transitive evaluation (Table V's Virtuoso)."""
 
     name = "virtuoso-sim"
     display_name = "VirtuosoSim"
-
-    def _prepare(self, graph: EdgeLabeledDigraph):
-        from repro.bench.engines import VirtuosoSimEngine as _Backend
-
-        return _Backend(graph)
-
-
-register_alias("rlc", "rlc-index")
+    traversal = simulated.VirtuosoSimEngine

@@ -54,7 +54,7 @@ from repro.errors import (
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.labels.minimum_repeat import is_primitive
 from repro.labels.sequences import format_constraint
-from repro.queries import RlcQuery, validate_constraint_labels
+from repro.queries import RlcQuery, validate_constraint_labels, vertex_id
 
 __all__ = [
     "EngineStats",
@@ -408,6 +408,8 @@ class EngineBase:
         backend = self.backend  # raises before the clock starts
         prepared = self.prepare_query(prepared)
         surface = self._graph if self._graph is not None else backend
+        source = vertex_id(source, "source")
+        target = vertex_id(target, "target")
         if not surface.has_vertex(source):
             raise QueryError(f"unknown source vertex: {source}")
         if not surface.has_vertex(target):
@@ -425,8 +427,8 @@ class EngineBase:
         )
         return QueryOutcome(
             answer=answer,
-            source=int(source),
-            target=int(target),
+            source=source,
+            target=target,
             labels=prepared.labels,
             engine=self.name,
             witness=path,
@@ -452,7 +454,8 @@ class EngineBase:
             if prepared is None:
                 prepared = self.prepare_query(query.labels)
                 prepared_for[query.labels] = prepared
-            source, target = query.source, query.target
+            source = vertex_id(query.source, "source")
+            target = vertex_id(query.target, "target")
             if not has_vertex(source):
                 raise QueryError(f"unknown source vertex: {source}")
             if not has_vertex(target):

@@ -22,10 +22,10 @@ Beyond bare names, the registry parses **engine specs**::
 So ``create_engine("rlc?k=3", graph)`` builds an RLC index with
 ``k=3``.
 
-All engines shipped with the library register themselves when
-:mod:`repro.engine.adapters` is imported (which the package
-``__init__`` always does); external code can add its own with
-:func:`register`.
+The registry is a fixed table of the eight engines in
+:mod:`repro.engine.adapters` plus the one alias ``rlc``.  An engine
+configuration is named by a spec, not registered: ``"rlc?k=3"`` rather
+than a new key.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from __future__ import annotations
 import inspect
 from typing import Dict, List, Tuple, Type
 
+from repro.engine import adapters
+from repro.engine.base import EngineBase
 from repro.errors import EngineError, EngineOptionError
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.engine.base import EngineBase
 
 __all__ = [
     "available_engines",
@@ -44,42 +45,25 @@ __all__ = [
     "filter_engine_options",
     "get_engine_class",
     "parse_engine_spec",
-    "register",
-    "register_alias",
     "resolve_engine_spec",
 ]
 
-_REGISTRY: Dict[str, Type[EngineBase]] = {}
-_ALIASES: Dict[str, str] = {}
-
-
-def register(cls: Type[EngineBase]) -> Type[EngineBase]:
-    """Class decorator adding an engine under its ``name`` key."""
-    key = cls.name.lower()
-    if key in _ALIASES:
-        raise EngineError(f"engine name {key!r} is already an alias")
-    if key in _REGISTRY and _REGISTRY[key] is not cls:
-        raise EngineError(f"engine name {key!r} is already registered")
-    _REGISTRY[key] = cls
-    return cls
-
-
-def register_alias(alias: str, name: str) -> None:
-    """Register ``alias`` as an alternate key for engine ``name``.
-
-    Aliases resolve everywhere a name does (specs included) but are not
-    listed by :func:`engine_names` / :func:`available_engines`.
-    """
-    key = alias.lower()
-    target = name.lower()
-    if target not in _REGISTRY:
-        raise EngineError(f"cannot alias unknown engine {name!r}")
-    if key in _REGISTRY:
-        raise EngineError(f"alias {alias!r} shadows a registered engine")
-    existing = _ALIASES.get(key)
-    if existing is not None and existing != target:
-        raise EngineError(f"alias {alias!r} is already bound to {existing!r}")
-    _ALIASES[key] = target
+_REGISTRY: Dict[str, Type[EngineBase]] = {
+    cls.name: cls
+    for cls in (
+        adapters.BfsEngine,
+        adapters.BiBfsEngine,
+        adapters.DfsEngine,
+        adapters.EtcEngine,
+        adapters.RlcIndexEngine,
+        adapters.Sys1Engine,
+        adapters.Sys2Engine,
+        adapters.VirtuosoSimEngine,
+    )
+}
+#: Alternate keys; they resolve everywhere a name does (specs included)
+#: but are not listed by :func:`engine_names` / :func:`available_engines`.
+_ALIASES: Dict[str, str] = {"rlc": "rlc-index"}
 
 
 def _coerce(value: str):
@@ -127,7 +111,7 @@ def get_engine_class(name: str) -> Type[EngineBase]:
     try:
         return _REGISTRY[key]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_REGISTRY))
         raise EngineError(f"unknown engine {name!r}; known engines: {known}") from None
 
 

@@ -1,13 +1,12 @@
 """A batching, caching query service.
 
 :class:`QueryService` is the serving-layer entry point the ROADMAP's
-scaling work builds on: it executes workloads in fixed-size batches
-through an engine's ``query_batch`` (which validates, and for the
-traversals compiles, each distinct constraint once per batch),
-memoizes answers in a
-bounded LRU cache, keeps hit-rate and timing counters, and
-verifies answers against the ground truth that workload files carry in
-:attr:`RlcQuery.expected`.
+scaling work builds on: it hands the uncached queries of a workload to
+one ``query_batch`` call of its engine (which validates, and for the
+online answerers compiles, each distinct constraint once per batch),
+memoizes answers in a bounded LRU cache, keeps hit-rate and timing
+counters, and verifies answers against the ground truth that workload
+files carry in :attr:`RlcQuery.expected`.
 
     service = QueryService(create_engine("rlc-index", graph, k=2))
     report = service.run(workload)
@@ -34,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.base import EngineBase, EngineStats, PreparedQuery, QueryOutcome
 from repro.errors import EngineError
-from repro.queries import RlcQuery
+from repro.queries import RlcQuery, vertex_id
 
 __all__ = ["QueryService", "ServiceReport"]
 
@@ -55,6 +54,7 @@ class ServiceReport:
     seconds: float
     cache_hits: int
     cache_misses: int
+    #: ``query_batch`` calls the run made: 1, or 0 when fully cached.
     batches: int
     mismatches: List[Tuple[RlcQuery, bool]] = field(default_factory=list)
 
@@ -90,6 +90,22 @@ class ServiceReport:
         """True when no answer contradicted a query's expected value."""
         return not self.mismatches
 
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready view (``/batch`` and ``repro run --json`` return it)."""
+        return {
+            "engine": self.engine_name,
+            "answers": [bool(answer) for answer in self.answers],
+            "total": self.total,
+            "seconds": self.seconds,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "batches": self.batches,
+            "hit_rate": self.hit_rate,
+            "queries_per_second": self.queries_per_second,
+            "ok": self.ok,
+            "mismatches": len(self.mismatches),
+        }
+
     def summary(self) -> str:
         """One-line human-readable account (used by the CLI)."""
         return (
@@ -103,26 +119,16 @@ class ServiceReport:
 class QueryService:
     """Batched, cached, verified execution of RLC workloads.
 
-    ``cache_size`` bounds the LRU result cache (0 disables caching);
-    ``batch_size`` bounds how many uncached queries are handed to the
-    engine per ``query_batch`` call.  The cache keys on ``(source,
-    target, prepared digest)``.
+    ``cache_size`` bounds the LRU result cache (0 disables caching).
+    The cache keys on ``(source, target, prepared digest)``, with the
+    endpoints checked to be integers before any lookup.
     """
 
-    def __init__(
-        self,
-        engine: EngineBase,
-        *,
-        cache_size: int = 4096,
-        batch_size: int = 256,
-    ) -> None:
-        if batch_size < 1:
-            raise EngineError(f"batch_size must be >= 1, got {batch_size}")
+    def __init__(self, engine: EngineBase, *, cache_size: int = 4096) -> None:
         if cache_size < 0:
             raise EngineError(f"cache_size must be >= 0, got {cache_size}")
         self._engine = engine
         self._cache_size = cache_size
-        self._batch_size = batch_size
         self._cache: "OrderedDict[CacheKey, bool]" = OrderedDict()
         self._prepared: Dict[Tuple, PreparedQuery] = {}
         self._hits = 0
@@ -167,7 +173,11 @@ class QueryService:
         attaches a witness path either way.
         """
         prepared = self.prepare(labels)
-        key = (int(source), int(target), prepared.digest)
+        if type(source) is not int:
+            source = vertex_id(source, "source")
+        if type(target) is not int:
+            target = vertex_id(target, "target")
+        key = (source, target, prepared.digest)
         started = time.perf_counter()
         cached = self._cache_lookup(key)
         if cached is not None:
@@ -175,12 +185,12 @@ class QueryService:
             path = None
             if witness:
                 path = self._engine.witness_path(
-                    prepared, int(source), int(target), answer=cached
+                    prepared, source, target, answer=cached
                 )
             return QueryOutcome(
                 answer=cached,
-                source=int(source),
-                target=int(target),
+                source=source,
+                target=target,
                 labels=prepared.labels,
                 engine=self._engine.name,
                 cached=True,
@@ -204,14 +214,14 @@ class QueryService:
         *,
         verify: bool = True,
     ) -> ServiceReport:
-        """Execute a workload (any iterable of queries) in batches.
+        """Execute a workload (any iterable of queries).
 
         Cached queries are answered without touching the engine; the
-        remainder is executed in ``batch_size`` chunks through
-        ``query_batch``.  With ``verify`` set, answers are checked
-        against each query's ``expected`` attribute (where present) and
-        disagreements are collected on the report — the caller decides
-        whether a mismatch is fatal.
+        remainder goes to the engine in one ``query_batch`` call.  With
+        ``verify`` set, answers are checked against each query's
+        ``expected`` attribute (where present) and disagreements are
+        collected on the report — the caller decides whether a mismatch
+        is fatal.
         """
         batch = list(queries)
         answers: List[Optional[bool]] = [None] * len(batch)
@@ -227,8 +237,8 @@ class QueryService:
         started = time.perf_counter()
         for position, query in enumerate(batch):
             key = (
-                int(query.source),
-                int(query.target),
+                vertex_id(query.source, "source"),
+                vertex_id(query.target, "target"),
                 self.prepare(query.labels).digest,
             )
             key_of[position] = key
@@ -248,18 +258,18 @@ class QueryService:
                 pending_groups.append(group)
             group.append(position)
         batches = 0
-        for start in range(0, len(pending_groups), self._batch_size):
-            chunk = pending_groups[start : start + self._batch_size]
-            chunk_answers = self._engine.query_batch(
-                [batch[positions[0]] for positions in chunk]
+        if pending_groups:
+            group_answers = self._engine.query_batch(
+                [batch[positions[0]] for positions in pending_groups]
             )
-            batches += 1
-            if len(chunk_answers) != len(chunk):
+            batches = 1
+            if len(group_answers) != len(pending_groups):
                 raise EngineError(
                     f"engine {self._engine.name!r} returned "
-                    f"{len(chunk_answers)} answers for {len(chunk)} queries"
+                    f"{len(group_answers)} answers for "
+                    f"{len(pending_groups)} queries"
                 )
-            for positions, answer in zip(chunk, chunk_answers):
+            for positions, answer in zip(pending_groups, group_answers):
                 self._cache_put(key_of[positions[0]], answer)
                 for position in positions:
                     answers[position] = answer
@@ -336,6 +346,5 @@ class QueryService:
     def __repr__(self) -> str:
         return (
             f"QueryService(engine={self._engine.name!r}, "
-            f"cache={len(self._cache)}/{self._cache_size}, "
-            f"batch_size={self._batch_size})"
+            f"cache={len(self._cache)}/{self._cache_size})"
         )

@@ -7,9 +7,9 @@ is true iff some path from ``s`` to ``t`` has label sequence ``L^z``
 for some ``z >= 1``.
 
 :class:`RlcQuery` is the value object used across the library;
-:func:`validate_rlc_query` centralizes the error taxonomy (unknown
-vertices, empty constraints, non-primitive constraints, constraints
-longer than an index's ``k``).
+:func:`validate_rlc_query` centralizes the error taxonomy (unknown or
+non-integer vertices, empty constraints, non-primitive constraints,
+constraints longer than an index's ``k``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "RlcQuery",
     "validate_constraint_labels",
     "validate_rlc_query",
+    "vertex_id",
 ]
 
 
@@ -62,6 +63,20 @@ class RlcQuery:
 def _describe_raw_constraint(raw_labels: Tuple) -> str:
     """Best-effort rendering of a possibly-malformed constraint."""
     return "(" + ", ".join(repr(label) for label in raw_labels) + ")+"
+
+
+def vertex_id(vertex, role: str) -> int:
+    """A query endpoint as a plain ``int``; ``role`` names it in errors.
+
+    The label rule of :func:`validate_constraint_labels` applied to
+    vertex ids: integral types (``np.int64``) become ``int``; bools and
+    non-integral values (``2.5``, ``"2"``) raise :class:`QueryError`.
+    """
+    if type(vertex) is int:
+        return vertex
+    if isinstance(vertex, bool) or not isinstance(vertex, numbers.Integral):
+        raise QueryError(f"unknown {role} vertex: {vertex!r} is not an integer")
+    return int(vertex)
 
 
 def validate_constraint_labels(
@@ -132,13 +147,14 @@ def validate_rlc_query(
     """Validate an RLC query, returning the label tuple.
 
     Raises:
-        QueryError: unknown vertices, empty constraint, unknown labels.
+        QueryError: unknown or non-integer vertices, empty constraint,
+            unknown labels.
         NonPrimitiveConstraintError: ``L != MR(L)`` (out of scope per
             Section III-B — it adds an even-path-style length constraint).
         CapabilityError: ``|L| > k`` for the supplied index bound.
     """
-    if not graph.has_vertex(source):
+    if not graph.has_vertex(vertex_id(source, "source")):
         raise QueryError(f"unknown source vertex: {source}")
-    if not graph.has_vertex(target):
+    if not graph.has_vertex(vertex_id(target, "target")):
         raise QueryError(f"unknown target vertex: {target}")
     return validate_constraint_labels(graph, labels, k=k)

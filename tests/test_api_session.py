@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
 import repro
 from repro.api import Session, open_session
-from repro.engine import QueryService, RlcIndexEngine, create_engine
-from repro.errors import EngineError, GraphError
+from repro.engine import QueryService, RlcIndexEngine, create_engine, engine_names
+from repro.errors import EngineError, GraphError, QueryError
 from repro.graph import generators
 from repro.graph.generators import paper_figure2
 from repro.graph.io import write_edge_list
+from repro.queries import RlcQuery
 from repro.workloads import generate_workload
 
 
@@ -262,3 +264,52 @@ class TestPackageSurface:
             warnings.simplefilter("error", DeprecationWarning)
             for name in repro.__all__:
                 assert getattr(repro, name) is not None, name
+
+
+class TestEndpointIds:
+    """Vertex ids follow the label rule: integral only, never a bool."""
+
+    LABELS = (1, 0)
+
+    @staticmethod
+    def _session(fig2, name, warm):
+        session = Session(fig2, engine=name)
+        if warm:
+            # Cache the answers a bad id could alias: vertex 2 (from 2.5
+            # or "2") and vertex 1 (from True), on both sides.
+            for vertex in (1, 2):
+                session.query_outcome(vertex, 5, TestEndpointIds.LABELS)
+                session.query_outcome(0, vertex, TestEndpointIds.LABELS)
+        return session
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", engine_names())
+    def test_non_integer_ids_raise(self, fig2, name, warm):
+        session = self._session(fig2, name, warm)
+        for bad in (2.5, True, "2"):
+            with pytest.raises(QueryError, match="unknown source"):
+                session.query_outcome(bad, 5, self.LABELS)
+            with pytest.raises(QueryError, match="unknown target"):
+                session.query_outcome(0, bad, self.LABELS)
+            with pytest.raises(QueryError, match="unknown source"):
+                session.run([RlcQuery(bad, 5, self.LABELS)])
+            with pytest.raises(QueryError, match="unknown source"):
+                session.engine().query_batch([RlcQuery(bad, 5, self.LABELS)])
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", engine_names())
+    def test_numpy_ids_answer_like_ints(self, fig2, name, warm):
+        session = self._session(fig2, name, warm)
+        expected = session.engine().query_prepared(self.LABELS, 2, 5).answer
+        outcome = session.query_outcome(np.int64(2), np.int64(5), self.LABELS)
+        assert outcome.answer is expected is True
+        assert type(outcome.source) is int and type(outcome.target) is int
+        report = session.run([RlcQuery(np.int64(2), np.int64(5), self.LABELS)])
+        assert report.answers == [True]
+
+    def test_backend_query_rejects_non_integer_ids(self, fig2):
+        from repro.baselines import NfaBfs
+
+        with pytest.raises(QueryError, match="unknown source"):
+            NfaBfs(fig2).query(True, 5, self.LABELS)
+        assert NfaBfs(fig2).query(np.int64(2), 5, self.LABELS) is True

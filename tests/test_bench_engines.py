@@ -7,11 +7,10 @@ import itertools
 import pytest
 
 from repro.baselines import NfaBfs
-from repro.bench.engines import (
+from repro.baselines.simulated import (
     Sys1PropertyGraphEngine,
     Sys2RdfEngine,
     VirtuosoSimEngine,
-    all_engines,
 )
 from repro.errors import QueryError
 
@@ -67,7 +66,7 @@ class TestEngineBehaviour:
             engine.query(0, 99, (0,))
 
     def test_names_distinct(self, fig2):
-        names = [engine.name for engine in all_engines(fig2)]
+        names = [cls(fig2).name for cls in ENGINE_CLASSES]
         assert names == ["Sys1", "Sys2", "VirtuosoSim"]
 
     def test_fig2_example(self, engine_cls, fig2):
@@ -87,5 +86,5 @@ class TestEngineBehaviour:
         full space (Sys2/Virtuoso have no early exit) by confirming a
         true query still returns True — behavioural smoke only.
         """
-        for engine in all_engines(fig2):
-            assert engine.query(2, 5, (1, 0)) is True
+        for cls in ENGINE_CLASSES:
+            assert cls(fig2).query(2, 5, (1, 0)) is True

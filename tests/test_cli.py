@@ -115,7 +115,7 @@ class TestEngineCommands:
               "--false-queries", "5", "-o", str(workload_path)])
         main(["build", str(graph_path), "-o", str(index_path)])
         capsys.readouterr()
-        assert main(["run", str(index_path), str(workload_path), "--batch-size", "4"]) == 0
+        assert main(["run", str(index_path), str(workload_path)]) == 0
         out = capsys.readouterr().out
         assert "0 wrong answers" in out and "cache hit rate" in out
 

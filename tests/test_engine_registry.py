@@ -12,8 +12,6 @@ from repro.engine import (
     engine_names,
     get_engine_class,
     parse_engine_spec,
-    register,
-    register_alias,
     resolve_engine_spec,
 )
 from repro.errors import (
@@ -51,17 +49,6 @@ class TestRegistry:
     def test_unknown_name_lists_known_engines(self):
         with pytest.raises(EngineError, match="known engines.*rlc-index"):
             get_engine_class("no-such-engine")
-
-    def test_duplicate_registration_rejected(self):
-        class Impostor(EngineBase):
-            name = "bfs"
-
-        with pytest.raises(EngineError, match="already registered"):
-            register(Impostor)
-
-    def test_reregistering_same_class_is_idempotent(self):
-        cls = get_engine_class("bfs")
-        assert register(cls) is cls
 
     def test_unknown_option_raises_type_error(self, fig2):
         with pytest.raises(TypeError):
@@ -117,15 +104,6 @@ class TestSpecs:
         assert "rlc" not in engine_names()
         engine = create_engine("rlc", fig2, k=2)
         assert engine.name == "rlc-index"
-
-    def test_alias_cannot_shadow_engine(self):
-        with pytest.raises(EngineError, match="shadows"):
-            register_alias("bfs", "rlc-index")
-        with pytest.raises(EngineError, match="unknown engine"):
-            register_alias("fresh-alias", "no-such-engine")
-
-    def test_realiasing_same_target_is_idempotent(self):
-        register_alias("rlc", "rlc-index")  # already bound to the same target
 
     def test_filter_options_follows_constructor(self):
         from repro.engine import filter_engine_options
@@ -239,7 +217,9 @@ class TestEngineBatches:
             assert engine.query_batch([over_k]) == [engine.query(over_k)]
         assert engine.query_batch([]) == []
 
-    @pytest.mark.parametrize("name", ("bfs", "bibfs", "dfs"))
+    @pytest.mark.parametrize(
+        "name", ("bfs", "bibfs", "dfs", "sys1", "sys2", "virtuoso-sim")
+    )
     def test_one_automaton_per_distinct_constraint(self, name, graph, monkeypatch):
         import repro.engine.base as base_module
 

@@ -29,18 +29,13 @@ class TestRun:
         assert report.total == len(workload)
         assert report.answers == [q.expected for q in workload]
 
-    def test_batches_respect_batch_size(self, engine, workload):
-        report = QueryService(engine, batch_size=3, cache_size=0).run(workload)
-        expected_batches = -(-len(workload) // 3)  # ceil division
-        assert report.batches == expected_batches
-
     def test_second_run_is_fully_cached(self, engine, workload):
         service = QueryService(engine)
         first = service.run(workload)
         second = service.run(workload)
         assert first.hit_rate == 0.0
         assert second.hit_rate == 1.0
-        assert second.batches == 0
+        assert (first.batches, second.batches) == (1, 0)
         assert second.answers == first.answers
 
     def test_mismatches_collected_not_raised(self, engine):
@@ -122,8 +117,6 @@ class TestCache:
 
     def test_invalid_sizes_rejected(self, engine):
         with pytest.raises(EngineError):
-            QueryService(engine, batch_size=0)
-        with pytest.raises(EngineError):
             QueryService(engine, cache_size=-1)
 
 
@@ -203,12 +196,9 @@ def _run_concurrently(engine, workloads, **service_options):
 class TestConcurrency:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_concurrent_run_matches_serial(self, fig2, workload, threads):
-        serial = QueryService(
-            create_engine("bfs", fig2), batch_size=2, cache_size=0
-        ).run(workload)
+        serial = QueryService(create_engine("bfs", fig2), cache_size=0).run(workload)
         reports = _run_concurrently(
-            create_engine("bfs", fig2), [workload] * threads,
-            batch_size=2, cache_size=0,
+            create_engine("bfs", fig2), [workload] * threads, cache_size=0
         )
         assert serial.ok
         for report in reports:
@@ -222,9 +212,7 @@ class TestConcurrency:
             for source in range(fig2.num_vertices)
             for target in range(fig2.num_vertices)
         ]
-        reports = _run_concurrently(
-            engine, [queries] * 4, batch_size=4, cache_size=0
-        )
+        reports = _run_concurrently(engine, [queries] * 4, cache_size=0)
         assert all(report.total == len(queries) for report in reports)
         # The locked counters lose no updates across threads.
         stats = engine.stats()
