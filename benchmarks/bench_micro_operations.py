@@ -104,10 +104,18 @@ def _rlc_engine():
     return RlcIndexEngine.from_index(dataset_index("EP"))
 
 
+def _answer_per_call(engine, queries):
+    """One ``query_prepared`` call per query, preparing its constraint each time."""
+    return [
+        engine.query_prepared(q.labels, q.source, q.target).answer
+        for q in queries
+    ]
+
+
 def test_engine_query_at_a_time(benchmark):
     engine = _rlc_engine()
     queries = _shared_constraint_queries()
-    benchmark(lambda: [engine.query(q) for q in queries])
+    benchmark(_answer_per_call, engine, queries)
 
 
 def test_engine_query_batch(benchmark):
@@ -127,7 +135,7 @@ def test_batched_execution_beats_query_at_a_time():
 
     engine = _rlc_engine()
     queries = _shared_constraint_queries(1000)
-    sequential_answers = [engine.query(q) for q in queries]  # warm up
+    sequential_answers = _answer_per_call(engine, queries)  # warm up
     assert engine.query_batch(queries) == sequential_answers
 
     def best_of(fn, repeats=3):
@@ -138,7 +146,7 @@ def test_batched_execution_beats_query_at_a_time():
             samples.append(time.perf_counter() - started)
         return min(samples)
 
-    sequential = best_of(lambda: [engine.query(q) for q in queries])
+    sequential = best_of(lambda: _answer_per_call(engine, queries))
     batched = best_of(lambda: engine.query_batch(queries))
     speedup = sequential / batched
     print(f"\nbatched speedup over query-at-a-time: {speedup:.2f}x")
@@ -174,15 +182,15 @@ def test_prepared_reuse_beats_per_call_compilation():
     Asserted (not just reported) so a regression in the prepared path
     fails the CI micro-benchmark smoke run:
     preparing each distinct constraint once and re-using it across a
-    1000-query shared-constraint workload is >= 1.3x faster than the
-    legacy ``query()`` shim, which re-validates the constraint on every
-    call.  Answers identical.
+    1000-query shared-constraint workload is >= 1.3x faster than
+    passing the raw labels to ``query_prepared``, which validates the
+    constraint on every call.  Answers identical.
     """
     import time
 
     engine = _rlc_engine()
     queries = _shared_constraint_queries(1000)
-    per_call_answers = [engine.query(q) for q in queries]  # warm up
+    per_call_answers = _answer_per_call(engine, queries)  # warm up
     prepared = {
         labels: engine.prepare_query(labels)
         for labels in {q.labels for q in queries}
@@ -204,7 +212,7 @@ def test_prepared_reuse_beats_per_call_compilation():
             samples.append(time.perf_counter() - started)
         return min(samples)
 
-    per_call = best_of(lambda: [engine.query(q) for q in queries])
+    per_call = best_of(lambda: _answer_per_call(engine, queries))
     reused = best_of(prepared_run)
     speedup = per_call / reused
     print(f"\nprepared re-use speedup over per-call compilation: {speedup:.2f}x")

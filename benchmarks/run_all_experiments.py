@@ -18,6 +18,20 @@ from repro.bench import experiments
 
 FAST = ("AD", "EP", "TW", "WN", "WS", "WG", "WT", "WB")
 HEAVY = ("WH", "PR", "SO", "LJ", "WF")
+#: The artifact names, in the order build_artifacts runs them.
+ARTIFACTS = (
+    "table3",
+    "table4",
+    "fig3_fast",
+    "fig3_heavy",
+    "fig4",
+    "fig5",
+    "fig6",
+    "table5",
+    "fig7",
+    "ablation_pruning",
+    "ablation_strategies",
+)
 
 
 def build_artifacts(args):
@@ -86,7 +100,7 @@ def build_artifacts(args):
     ]
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="experiments_output")
     parser.add_argument("--scale", type=float, default=1.0)
@@ -96,9 +110,14 @@ def main() -> None:
     parser.add_argument("--time-cap", type=float, default=30.0)
     parser.add_argument("--fig5-vertices", type=int, default=1000)
     parser.add_argument(
-        "--only", nargs="*", default=None, help="subset of artifact names"
+        "--only",
+        nargs="*",
+        default=None,
+        choices=ARTIFACTS,
+        metavar="NAME",
+        help=f"subset of artifact names: {', '.join(ARTIFACTS)}",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

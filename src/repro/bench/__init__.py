@@ -1,7 +1,9 @@
 """Benchmark harness: experiment drivers for every table and figure.
 
-- :mod:`repro.bench.harness` — timing helpers, time-capped query-set
-  execution (the paper's timeout ``X`` marks), aligned-table rendering;
+- :mod:`repro.bench.harness` — timing helpers, the one time-capped
+  query-set loop every query-time figure uses (it times only each
+  query's evaluation; the paper's timeout ``X`` marks), aligned-table
+  rendering;
 - :mod:`repro.bench.experiments` — one driver per paper artifact
   (Table III/IV/V, Fig. 3-7, plus the design-choice ablations), each
   returning a :class:`~repro.bench.harness.ResultTable` that the
@@ -13,7 +15,6 @@ from repro.bench.harness import (
     ResultTable,
     format_micros,
     format_seconds,
-    run_engine_query_set,
     run_query_set,
     time_call,
 )
@@ -27,7 +28,6 @@ __all__ = [
     "experiments",
     "format_micros",
     "format_seconds",
-    "run_engine_query_set",
     "run_query_set",
     "series_from_table",
     "time_call",

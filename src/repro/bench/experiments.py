@@ -7,6 +7,11 @@ parameters are sized for minutes-scale reproduction runs; the
 ``benchmarks/`` scripts expose knobs (``num_queries``, ``scale`` …) to
 grow any experiment toward the paper's settings.
 
+Every query-time cell of Figs. 3-7 comes from one loop,
+:func:`~repro.bench.harness.run_query_set`, over an engine built by
+:func:`~repro.engine.create_engine`; it times only the evaluation of
+each query.  Table V times whole per-call requests.
+
 Paper-to-driver map:
 
 ========  =====================================================
@@ -26,7 +31,6 @@ Remarks   :func:`experiment_ablation_pruning`,
 from __future__ import annotations
 
 import statistics
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import ExtendedTransitiveClosure
@@ -36,7 +40,6 @@ from repro.bench.harness import (
     format_bytes,
     format_micros,
     format_seconds,
-    run_engine_query_set,
     run_query_set,
     time_call,
 )
@@ -45,7 +48,6 @@ from repro.engine import create_engine, get_engine_class
 from repro.errors import BudgetExceededError
 from repro.graph import compute_stats, datasets, generators
 from repro.graph.stats import label_histogram
-from repro.queries import RlcQuery
 from repro.workloads import generate_workload
 
 __all__ = [
@@ -114,7 +116,6 @@ def experiment_table4(
     scale: float = 1.0,
     etc_time_budget: Optional[float] = 30.0,
     etc_max_entries: Optional[int] = 3_000_000,
-    index_time_budget: Optional[float] = None,
 ) -> ResultTable:
     """Indexing time (IT) and index size (IS) for the RLC index and ETC.
 
@@ -138,9 +139,7 @@ def experiment_table4(
     )
     for name in names:
         graph = datasets.load_dataset(name, scale=scale)
-        index, seconds = time_call(
-            lambda g=graph: build_rlc_index(g, k, time_budget=index_time_budget)
-        )
+        index, seconds = time_call(lambda g=graph: build_rlc_index(g, k))
         row: Dict[str, object] = {
             "dataset": name,
             "rlc_it_s": seconds,
@@ -164,23 +163,6 @@ def experiment_table4(
 # ----------------------------------------------------------------------
 
 
-#: Fig. 3 reports the best of this many verified passes per query set:
-#: a single cold pass right after a build is dominated by cache warm-up
-#: and scheduler noise, which can swap the order of close engines.
-FIG3_PASSES = 3
-
-
-def _best_query_set_pass(engine, queries, time_cap: Optional[float]):
-    """Fastest of ``FIG3_PASSES`` verified runs, or TIMED_OUT."""
-    best = None
-    for _ in range(FIG3_PASSES):
-        micros = run_engine_query_set(engine, queries, time_cap=time_cap)
-        if micros is TIMED_OUT:
-            return TIMED_OUT
-        best = micros if best is None else min(best, micros)
-    return best
-
-
 def experiment_fig3(
     names: Sequence[str] = DEFAULT_DATASETS,
     *,
@@ -194,9 +176,11 @@ def experiment_fig3(
     """Execution time of the true/false query sets per engine.
 
     Engines: BFS, BiBFS, ETC (where its build budget allows — AD-like
-    behaviour), RLC index.  Each cell is the best of ``FIG3_PASSES``
-    verified passes over the set.  ``X`` marks a set whose pass exceeds
-    ``time_cap``, as in the paper's Fig. 3.
+    behaviour), RLC index.  Each cell times only the engine's
+    evaluation of the set's queries, best of
+    :data:`~repro.bench.harness.QUERY_SET_PASSES` verified passes (see
+    :func:`~repro.bench.harness.run_query_set`).  ``X`` marks a set
+    whose pass exceeds ``time_cap``, as in the paper's Fig. 3.
     """
     table = ResultTable(
         title=(
@@ -233,16 +217,44 @@ def experiment_fig3(
                     dataset=name, engine=label, true_us=None, false_us=None
                 )
                 continue
-            true_us = _best_query_set_pass(
-                engine, workload.true_queries, time_cap
-            )
-            false_us = _best_query_set_pass(
-                engine, workload.false_queries, time_cap
-            )
             table.add_row(
-                dataset=name, engine=label, true_us=true_us, false_us=false_us
+                dataset=name,
+                engine=label,
+                true_us=run_query_set(engine, workload.true_queries, time_cap=time_cap),
+                false_us=run_query_set(engine, workload.false_queries, time_cap=time_cap),
             )
     return table
+
+
+# ----------------------------------------------------------------------
+# Figs. 4-7 — one RLC index build and two timed query sets per row
+# ----------------------------------------------------------------------
+
+
+#: The columns :func:`_index_sweep_row` fills, with their renderers.
+_SWEEP_FORMATTERS = {
+    "indexing_s": format_seconds,
+    "size_bytes": format_bytes,
+    "true_us": format_micros,
+    "false_us": format_micros,
+}
+
+
+def _index_sweep_row(
+    graph, k: int, num_queries: int, seed: int, graph_name: str
+) -> Dict[str, object]:
+    """Build an RLC index over ``graph``, size it, time both query sets."""
+    engine, seconds = time_call(lambda: create_engine("rlc-index", graph, k=k))
+    workload = generate_workload(
+        graph, k, num_true=num_queries, num_false=num_queries, seed=seed,
+        graph_name=graph_name,
+    )
+    return {
+        "indexing_s": seconds,
+        "size_bytes": engine.backend.estimated_size_bytes(),
+        "true_us": run_query_set(engine, workload.true_queries),
+        "false_us": run_query_set(engine, workload.false_queries),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -261,35 +273,16 @@ def experiment_fig4(
     """Indexing time, index size and query time for k in {2, 3, 4}."""
     table = ResultTable(
         title=f"Fig. 4 — RLC index vs recursive k on {', '.join(names)}",
-        columns=[
-            "dataset", "k", "indexing_s", "size_bytes", "true_us", "false_us",
-        ],
-        formatters={
-            "indexing_s": format_seconds,
-            "size_bytes": format_bytes,
-            "true_us": format_micros,
-            "false_us": format_micros,
-        },
+        columns=["dataset", "k", *_SWEEP_FORMATTERS],
+        formatters=_SWEEP_FORMATTERS,
     )
     for name in names:
         graph = datasets.load_dataset(name, scale=scale)
         for k in ks:
-            index, seconds = time_call(lambda g=graph, kk=k: build_rlc_index(g, kk))
-            workload = generate_workload(
-                graph,
-                k,
-                num_true=num_queries,
-                num_false=num_queries,
-                seed=seed,
-                graph_name=name,
-            )
             table.add_row(
                 dataset=name,
                 k=k,
-                indexing_s=seconds,
-                size_bytes=index.estimated_size_bytes(),
-                true_us=run_query_set(index.query, workload.true_queries),
-                false_us=run_query_set(index.query, workload.false_queries),
+                **_index_sweep_row(graph, k, num_queries, seed, name),
             )
     return table
 
@@ -323,38 +316,21 @@ def experiment_fig5(
             f"Fig. 5 — indexing time, size and query time vs |L| and d "
             f"(|V|={num_vertices}, k={k})"
         ),
-        columns=[
-            "family", "degree", "labels", "indexing_s", "size_bytes",
-            "true_us", "false_us",
-        ],
-        formatters={
-            "indexing_s": format_seconds,
-            "size_bytes": format_bytes,
-            "true_us": format_micros,
-            "false_us": format_micros,
-        },
+        columns=["family", "degree", "labels", *_SWEEP_FORMATTERS],
+        formatters=_SWEEP_FORMATTERS,
     )
     for family in families:
         for degree in degrees:
             for num_labels in label_sizes:
                 graph = _synthetic_graph(family, num_vertices, degree, num_labels, seed)
-                index, seconds = time_call(lambda g=graph: build_rlc_index(g, k))
-                workload = generate_workload(
-                    graph,
-                    k,
-                    num_true=num_queries,
-                    num_false=num_queries,
-                    seed=seed,
-                    graph_name=f"{family}-d{degree}-L{num_labels}",
-                )
                 table.add_row(
                     family=family.upper(),
                     degree=degree,
                     labels=num_labels,
-                    indexing_s=seconds,
-                    size_bytes=index.estimated_size_bytes(),
-                    true_us=run_query_set(index.query, workload.true_queries),
-                    false_us=run_query_set(index.query, workload.false_queries),
+                    **_index_sweep_row(
+                        graph, k, num_queries, seed,
+                        f"{family}-d{degree}-L{num_labels}",
+                    ),
                 )
     return table
 
@@ -377,35 +353,18 @@ def experiment_fig6(
     """Indexing time, size and query time as |V| grows (d=5, |L|=16)."""
     table = ResultTable(
         title=f"Fig. 6 — scalability in |V| (d={degree}, |L|={num_labels}, k={k})",
-        columns=[
-            "family", "vertices", "indexing_s", "size_bytes", "true_us", "false_us",
-        ],
-        formatters={
-            "indexing_s": format_seconds,
-            "size_bytes": format_bytes,
-            "true_us": format_micros,
-            "false_us": format_micros,
-        },
+        columns=["family", "vertices", *_SWEEP_FORMATTERS],
+        formatters=_SWEEP_FORMATTERS,
     )
     for family in families:
         for num_vertices in sizes:
             graph = _synthetic_graph(family, num_vertices, degree, num_labels, seed)
-            index, seconds = time_call(lambda g=graph: build_rlc_index(g, k))
-            workload = generate_workload(
-                graph,
-                k,
-                num_true=num_queries,
-                num_false=num_queries,
-                seed=seed,
-                graph_name=f"{family}-{num_vertices}",
-            )
             table.add_row(
                 family=family.upper(),
                 vertices=num_vertices,
-                indexing_s=seconds,
-                size_bytes=index.estimated_size_bytes(),
-                true_us=run_query_set(index.query, workload.true_queries),
-                false_us=run_query_set(index.query, workload.false_queries),
+                **_index_sweep_row(
+                    graph, k, num_queries, seed, f"{family}-{num_vertices}"
+                ),
             )
     return table
 
@@ -422,16 +381,15 @@ def _pick_table5_endpoints(graph) -> Tuple[int, int]:
     return int(out_degrees.argmax()), int(in_degrees.argmax())
 
 
-def _median_seconds(fn, repeats: int, time_cap: Optional[float]) -> object:
+def _median_seconds(fn, repeats: int, time_cap: Optional[float]):
+    """``(answer, median seconds)`` of ``repeats`` calls; TIMED_OUT past the cap."""
     samples: List[float] = []
     for _ in range(max(repeats, 1)):
-        started = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - started
+        answer, elapsed = time_call(fn)
         samples.append(elapsed)
         if time_cap is not None and elapsed > time_cap:
-            return TIMED_OUT
-    return statistics.median(samples)
+            return answer, TIMED_OUT
+    return answer, statistics.median(samples)
 
 
 def experiment_table5(
@@ -450,6 +408,8 @@ def experiment_table5(
     and the extended query Q4 ``a+ b+`` evaluated with the index plus an
     online traversal.  ``a``, ``b``, ``c`` are the three most frequent
     labels; endpoints are the max-out-degree and max-in-degree vertices.
+    Every engine answer is checked against the index's (the extended
+    evaluator's for Q4); a disagreement raises ``AssertionError``.
     """
     graph = datasets.load_dataset(dataset, scale=scale)
     histogram = label_histogram(graph)
@@ -492,8 +452,7 @@ def experiment_table5(
 
     def _engine_call(engine, kind, payload):
         if kind == "rlc":
-            query = RlcQuery(source, target, payload)
-            return lambda: engine.query(query)
+            return lambda: engine.query_prepared(payload, source, target).answer
         # Extended (concatenated-constraint) queries go straight to the
         # backend: they are regex evaluations outside the RLC contract.
         expression = " ".join(
@@ -501,23 +460,28 @@ def experiment_table5(
         )
         return lambda: engine.backend.query_regex(source, target, expression)
 
-    rlc_times: Dict[str, object] = {}
+    rlc_results: Dict[str, Tuple[bool, object]] = {}
     for query_name, kind, payload in queries:
         if kind == "rlc" and len(payload) > k:
             continue
-        rlc_times[query_name] = _median_seconds(
+        rlc_results[query_name] = _median_seconds(
             _rlc_call(kind, payload), repeats, time_cap
         )
 
     for engine_key in ("sys1", "sys2", "virtuoso-sim"):
         engine = create_engine(engine_key, graph)
         for query_name, kind, payload in queries:
-            if query_name not in rlc_times:
+            if query_name not in rlc_results:
                 continue
-            engine_seconds = _median_seconds(
+            answer, engine_seconds = _median_seconds(
                 _engine_call(engine, kind, payload), repeats, time_cap
             )
-            rlc_seconds = rlc_times[query_name]
+            rlc_answer, rlc_seconds = rlc_results[query_name]
+            if answer != rlc_answer:
+                raise AssertionError(
+                    f"{engine.display_name} answered {answer} for {query_name} "
+                    f"({source} -> {target}), the index answered {rlc_answer}"
+                )
             if engine_seconds is TIMED_OUT or rlc_seconds is TIMED_OUT:
                 speedup = None
                 bep = None
@@ -557,35 +521,16 @@ def experiment_fig7(
             f"Fig. 7 — impact of k on synthetic graphs "
             f"(|V|={num_vertices}, d={degree}, |L|={num_labels})"
         ),
-        columns=[
-            "family", "k", "indexing_s", "size_bytes", "true_us", "false_us",
-        ],
-        formatters={
-            "indexing_s": format_seconds,
-            "size_bytes": format_bytes,
-            "true_us": format_micros,
-            "false_us": format_micros,
-        },
+        columns=["family", "k", *_SWEEP_FORMATTERS],
+        formatters=_SWEEP_FORMATTERS,
     )
     for family in families:
         graph = _synthetic_graph(family, num_vertices, degree, num_labels, seed)
         for k in ks:
-            index, seconds = time_call(lambda g=graph, kk=k: build_rlc_index(g, kk))
-            workload = generate_workload(
-                graph,
-                k,
-                num_true=num_queries,
-                num_false=num_queries,
-                seed=seed,
-                graph_name=f"{family}-k{k}",
-            )
             table.add_row(
                 family=family.upper(),
                 k=k,
-                indexing_s=seconds,
-                size_bytes=index.estimated_size_bytes(),
-                true_us=run_query_set(index.query, workload.true_queries),
-                false_us=run_query_set(index.query, workload.false_queries),
+                **_index_sweep_row(graph, k, num_queries, seed, f"{family}-k{k}"),
             )
     return table
 

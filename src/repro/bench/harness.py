@@ -3,7 +3,9 @@
 Conventions:
 
 - query-set timings are reported in **microseconds for the whole set**
-  (matching Fig. 3's y-axis, "execution time of 1000 queries");
+  (matching Fig. 3's y-axis, "execution time of 1000 queries") and
+  cover only the engine's evaluation of each query — constraint
+  preparation happens once per set, outside the clock;
 - a query-set run that exceeds its time cap yields :data:`TIMED_OUT`
   and renders as ``X`` (the paper's timeout mark);
 - results are :class:`ResultTable` objects — ordered columns, rows of
@@ -34,90 +36,51 @@ def time_call(fn: Callable[[], Any]) -> Tuple[Any, float]:
     return result, time.perf_counter() - started
 
 
-def run_query_set(
-    query_fn: Callable[[int, int, Tuple[int, ...]], bool],
-    queries: Iterable,
-    *,
-    time_cap: Optional[float] = None,
-    verify: bool = True,
-):
-    """Execute a query set, returning total microseconds or TIMED_OUT.
-
-    ``queries`` yields :class:`~repro.queries.RlcQuery` objects; when
-    ``verify`` is set and a query carries its expected answer, a wrong
-    result raises ``AssertionError`` (benchmarks double as correctness
-    checks).  The cap is checked between queries, mirroring how the
-    paper aborts query-set runs that exceed the limit.
-    """
-    total = 0.0
-    for query in queries:
-        started = time.perf_counter()
-        answer = query_fn(query.source, query.target, query.labels)
-        total += time.perf_counter() - started
-        if verify and query.expected is not None and answer != query.expected:
-            raise AssertionError(
-                f"{query_fn} answered {answer} for {query}, expected {query.expected}"
-            )
-        if time_cap is not None and total > time_cap:
-            return TIMED_OUT
-    return total * 1e6
+#: Each query-set cell is the best of this many verified passes: a
+#: single cold pass right after a build is dominated by cache warm-up
+#: and scheduler noise, which can swap the order of close engines.
+QUERY_SET_PASSES = 3
 
 
-def run_engine_query_set(
-    engine,
-    queries: Iterable,
-    *,
-    time_cap: Optional[float] = None,
-    verify: bool = True,
-    batch_size: Optional[int] = None,
-):
-    """Execute a query set through an :class:`~repro.engine.EngineBase`.
+def run_query_set(engine, queries: Iterable, *, time_cap: Optional[float] = None):
+    """Time a query set through an engine: total microseconds, or TIMED_OUT.
 
-    The engine-layer counterpart of :func:`run_query_set`: any engine
-    satisfying the contract runs here, so experiment drivers need no
-    per-engine dispatch.  Without ``batch_size`` each query goes through
-    ``engine.query`` (per-query timing, matching the paper's query-set
-    figures); with it, queries run in chunks through
-    ``engine.query_batch``.  Returns total microseconds or
-    :data:`TIMED_OUT`; with ``verify``, a wrong answer for a query that
-    carries its expected value raises ``AssertionError``.
-
-    Without ``batch_size`` the timing is of the per-call
-    ``engine.query`` shim, which prepares the constraint and builds a
-    :class:`~repro.engine.QueryOutcome` on every call.  Every engine
-    pays that cost alike; it shows only for answerers in the
-    low-microsecond range (the RLC index).
+    ``engine`` is a prepared :class:`~repro.engine.EngineBase`;
+    ``queries`` yields :class:`~repro.queries.RlcQuery` objects over its
+    graph.  Each distinct constraint goes through ``engine.prepare_query``
+    once, outside the clock, which then covers only the engine's
+    ``_evaluate`` hook, one call per query.  Returns the best of
+    :data:`QUERY_SET_PASSES` passes.  A wrong answer for a query that
+    carries its expected value raises ``AssertionError`` (benchmarks
+    double as correctness checks).  ``time_cap`` is checked between
+    queries, mirroring how the paper aborts query-set runs that exceed
+    the limit.
     """
     query_list = list(queries)
-    total = 0.0
-    if batch_size is None:
+    prepared_for = {}
+    for query in query_list:
+        if query.labels not in prepared_for:
+            prepared_for[query.labels] = engine.prepare_query(query.labels)
+    backend = engine.backend
+    evaluate = engine._evaluate
+    clock = time.perf_counter
+    best = None
+    for _ in range(QUERY_SET_PASSES):
+        total = 0.0
         for query in query_list:
-            started = time.perf_counter()
-            answer = engine.query(query)
-            total += time.perf_counter() - started
-            if verify and query.expected is not None and answer != query.expected:
+            prepared = prepared_for[query.labels]
+            started = clock()
+            answer = evaluate(backend, prepared, query.source, query.target)
+            total += clock() - started
+            if query.expected is not None and answer != query.expected:
                 raise AssertionError(
                     f"engine {engine.name!r} answered {answer} for {query}, "
                     f"expected {query.expected}"
                 )
             if time_cap is not None and total > time_cap:
                 return TIMED_OUT
-        return total * 1e6
-    for start in range(0, len(query_list), batch_size):
-        chunk = query_list[start : start + batch_size]
-        started = time.perf_counter()
-        answers = engine.query_batch(chunk)
-        total += time.perf_counter() - started
-        if verify:
-            for query, answer in zip(chunk, answers):
-                if query.expected is not None and answer != query.expected:
-                    raise AssertionError(
-                        f"engine {engine.name!r} answered {answer} for {query}, "
-                        f"expected {query.expected}"
-                    )
-        if time_cap is not None and total > time_cap:
-            return TIMED_OUT
-    return total * 1e6
+        best = total if best is None else min(best, total)
+    return best * 1e6
 
 
 def format_micros(value) -> str:

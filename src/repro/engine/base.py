@@ -12,10 +12,10 @@ This module defines that contract for the repro library:
   boolean plus provenance (engine id, whether a service cache served
   it, witness path when requested, wall time);
 - :class:`EngineBase` — the contract (``name``, ``prepare``,
-  ``prepare_query``, ``query``, ``query_prepared``, ``query_batch``,
-  ``stats``) that callers such as :class:`repro.engine.QueryService`
-  and the benchmark harness program against, and the scaffolding every
-  adapter inherits.
+  ``prepare_query``, ``query_prepared``, ``query_batch``, ``stats``)
+  that callers such as :class:`repro.engine.QueryService` and the
+  benchmark harness program against, and the scaffolding every adapter
+  inherits.
 
 An adapter supplies exactly two hooks: ``_prepare(graph)`` builds its
 backend, and ``_evaluate(backend, prepared, source, target) -> bool``
@@ -25,10 +25,13 @@ validates a constraint against the engine's label universe and
 recursive bound; :meth:`~EngineBase.query_prepared` checks the
 endpoints and calls ``_evaluate``; :meth:`~EngineBase.query_batch`
 prepares each distinct constraint of a batch once and calls
-``_evaluate`` per query.  The legacy ``query(RlcQuery) -> bool`` entry
-point prepares per call — identical answers, none of the amortization
+``_evaluate`` per query.  A one-off point query is
+``engine.query_prepared(labels, source, target).answer``: it prepares
+the constraint on that call, so callers issuing many queries under few
+constraints should prepare once and re-use
 (``benchmarks/bench_micro_operations.py`` pins prepared re-use and
-batching at >= 1.3x over it on shared-constraint workloads).
+batching at >= 1.3x over preparing per call on shared-constraint
+workloads).  The benchmark harness times ``_evaluate`` alone.
 
 Adapters for the concrete answerers live in
 :mod:`repro.engine.adapters`; string-keyed construction in
@@ -467,18 +470,6 @@ class EngineBase:
             self._stats.batches += 1
             self._stats.batched_queries += len(answers)
         return answers
-
-    def query(self, query: RlcQuery) -> bool:
-        """Answer one RLC query, updating the timing counters.
-
-        Legacy entry point: prepares the constraint per call and
-        evaluates through :meth:`query_prepared`, returning only the
-        boolean.  Callers issuing many queries under few constraints
-        should prepare once and re-use — that is the amortization
-        :meth:`prepare_query` exists for.
-        """
-        prepared = self.prepare_query(query.labels)
-        return self.query_prepared(prepared, query.source, query.target).answer
 
     # ------------------------------------------------------------------
     # Witness extraction

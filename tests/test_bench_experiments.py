@@ -7,10 +7,16 @@ paper's qualitative shape where it is cheap to check.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.baselines.simulated import Sys1PropertyGraphEngine
 from repro.bench import experiments
 from repro.bench.harness import TIMED_OUT
+from repro.engine import EngineBase
+from repro.graph import datasets
+from repro.workloads import generate_workload
 
 FAST = ["AD", "TW"]
 
@@ -79,6 +85,29 @@ class TestFig3:
         bfs = by_engine["BFS"]["false_us"]
         if rlc is not TIMED_OUT and bfs is not TIMED_OUT:
             assert rlc < bfs
+
+    def test_prepares_each_constraint_once_per_set(self, monkeypatch):
+        # Only the evaluation is timed: an engine prepares a constraint
+        # once per query set, never once per query or per pass.
+        calls = Counter()
+        prepare_query = EngineBase.prepare_query
+
+        def counting(engine, constraint):
+            calls[engine.name, tuple(constraint)] += 1
+            return prepare_query(engine, constraint)
+
+        monkeypatch.setattr(EngineBase, "prepare_query", counting)
+        experiments.experiment_fig3(names=["AD"], scale=0.2, num_queries=10)
+        graph = datasets.load_dataset("AD", scale=0.2)
+        workload = generate_workload(
+            graph, 2, num_true=10, num_false=10, seed=7, graph_name="AD"
+        )
+        sets = Counter()
+        for queries in (workload.true_queries, workload.false_queries):
+            sets.update({q.labels for q in queries})
+        assert {name for name, _ in calls} == {"bfs", "bibfs", "etc", "rlc-index"}
+        for (name, labels), count in calls.items():
+            assert count <= sets[labels], (name, labels, count)
 
 
 class TestFig4:
@@ -151,6 +180,16 @@ class TestTable5:
         for row in table5.rows:
             if row["bep"] is not None:
                 assert row["bep"] >= 1
+
+    def test_engine_answers_are_checked(self, monkeypatch):
+        evaluate = Sys1PropertyGraphEngine.evaluate
+        monkeypatch.setattr(
+            Sys1PropertyGraphEngine,
+            "evaluate",
+            lambda self, source, target, nfa: not evaluate(self, source, target, nfa),
+        )
+        with pytest.raises(AssertionError, match="Sys1 answered"):
+            experiments.experiment_table5(scale=0.3, repeats=1)
 
 
 class TestFig7:

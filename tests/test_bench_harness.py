@@ -7,15 +7,16 @@ import time
 import pytest
 
 from repro.bench.harness import (
+    QUERY_SET_PASSES,
     TIMED_OUT,
     ResultTable,
     format_bytes,
     format_micros,
     format_seconds,
-    run_engine_query_set,
     run_query_set,
     time_call,
 )
+from repro.engine import create_engine
 from repro.queries import RlcQuery
 
 
@@ -23,21 +24,21 @@ class _FakeEngine:
     """Stand-in with the slice of the ``EngineBase`` contract the harness uses."""
 
     name = "fake"
+    backend = None
 
     def __init__(self, answer_fn, delay: float = 0.0):
         self._answer = answer_fn
         self._delay = delay
+        self.prepared = []
 
-    def query(self, query):
+    def prepare_query(self, labels):
+        self.prepared.append(labels)
+        return labels
+
+    def _evaluate(self, backend, prepared, source, target):
         if self._delay:
             time.sleep(self._delay)
-        return self._answer(query)
-
-    def query_batch(self, queries):
-        return [self.query(q) for q in queries]
-
-    def stats(self):  # pragma: no cover - contract completeness
-        return None
+        return self._answer(source, target, prepared)
 
 
 class TestTimeCall:
@@ -51,56 +52,60 @@ class TestRunQuerySet:
     QUERIES = [RlcQuery(0, 1, (0,), expected=True), RlcQuery(1, 0, (0,), expected=False)]
 
     def test_total_micros(self):
-        total = run_query_set(lambda s, t, l: s == 0, self.QUERIES)
+        engine = _FakeEngine(lambda s, t, l: s == 0)
+        total = run_query_set(engine, self.QUERIES)
         assert isinstance(total, float) and total >= 0
 
-    def test_verification_failure(self):
-        with pytest.raises(AssertionError, match="expected"):
-            run_query_set(lambda s, t, l: True, self.QUERIES)
+    def test_prepares_each_constraint_once(self):
+        engine = _FakeEngine(lambda s, t, l: s == 0)
+        queries = self.QUERIES + [RlcQuery(0, 1, (1, 0)), RlcQuery(1, 1, (0,))]
+        run_query_set(engine, queries)
+        assert engine.prepared == [(0,), (1, 0)]
 
-    def test_verification_disabled(self):
-        total = run_query_set(lambda s, t, l: True, self.QUERIES, verify=False)
-        assert total >= 0
+    def test_best_of_passes(self):
+        calls = []
+        engine = _FakeEngine(lambda s, t, l: calls.append(s) or s == 0)
+        run_query_set(engine, self.QUERIES)
+        assert len(calls) == QUERY_SET_PASSES * len(self.QUERIES)
+
+    def test_verification_failure(self):
+        engine = _FakeEngine(lambda s, t, l: True)
+        with pytest.raises(AssertionError, match="fake"):
+            run_query_set(engine, self.QUERIES)
 
     def test_time_cap(self):
-        def slow(s, t, l):
-            time.sleep(0.02)
-            return s == 0
-
-        assert run_query_set(slow, self.QUERIES, time_cap=0.001) is TIMED_OUT
+        engine = _FakeEngine(lambda s, t, l: s == 0, delay=0.02)
+        assert run_query_set(engine, self.QUERIES, time_cap=0.001) is TIMED_OUT
 
     def test_unlabeled_queries_not_verified(self):
-        queries = [RlcQuery(0, 1, (0,))]
-        assert run_query_set(lambda s, t, l: True, queries) >= 0
+        engine = _FakeEngine(lambda s, t, l: True)
+        assert run_query_set(engine, [RlcQuery(0, 1, (0,))]) >= 0
 
 
 class TestRunEngineQuerySet:
-    QUERIES = [RlcQuery(0, 1, (0,), expected=True), RlcQuery(1, 0, (0,), expected=False)]
+    """The same loop over real engines: their ``prepare_query`` and ``_evaluate``."""
 
-    def test_total_micros_per_query_mode(self):
-        engine = _FakeEngine(lambda q: q.source == 0)
-        total = run_engine_query_set(engine, self.QUERIES)
-        assert isinstance(total, float) and total >= 0
+    QUERIES = [
+        RlcQuery(2, 5, (1, 0), expected=True),
+        RlcQuery(0, 2, (0,), expected=False),
+    ]
 
-    def test_batched_mode(self):
-        engine = _FakeEngine(lambda q: q.source == 0)
-        total = run_engine_query_set(engine, self.QUERIES, batch_size=1)
-        assert isinstance(total, float) and total >= 0
+    def test_total_micros_per_query_mode(self, fig2):
+        for spec in ("rlc-index", "bibfs"):
+            total = run_query_set(create_engine(spec, fig2), self.QUERIES)
+            assert isinstance(total, float) and total >= 0
 
-    def test_verification_failure(self):
-        engine = _FakeEngine(lambda q: True)
-        with pytest.raises(AssertionError, match="fake"):
-            run_engine_query_set(engine, self.QUERIES)
-        with pytest.raises(AssertionError, match="fake"):
-            run_engine_query_set(engine, self.QUERIES, batch_size=8)
+    def test_verification_failure(self, fig2):
+        wrong = [
+            RlcQuery(q.source, q.target, q.labels, expected=not q.expected)
+            for q in self.QUERIES
+        ]
+        with pytest.raises(AssertionError, match="'bibfs'"):
+            run_query_set(create_engine("bibfs", fig2), wrong)
 
-    def test_time_cap(self):
-        engine = _FakeEngine(lambda q: q.source == 0, delay=0.02)
-        assert run_engine_query_set(engine, self.QUERIES, time_cap=0.001) is TIMED_OUT
-        assert (
-            run_engine_query_set(engine, self.QUERIES, time_cap=0.001, batch_size=1)
-            is TIMED_OUT
-        )
+    def test_time_cap(self, fig2):
+        engine = create_engine("bibfs", fig2)
+        assert run_query_set(engine, self.QUERIES, time_cap=0.0) is TIMED_OUT
 
 
 class TestFormatters:

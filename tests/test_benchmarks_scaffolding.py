@@ -6,7 +6,7 @@ import argparse
 
 import pytest
 
-from benchmarks import _common
+from benchmarks import _common, run_all_experiments
 from benchmarks.run_all_experiments import FAST, HEAVY, build_artifacts
 
 
@@ -45,6 +45,25 @@ class TestArtifactRegistry:
     def test_runners_are_callables(self):
         for _, runner in build_artifacts(self._args()):
             assert callable(runner)
+
+    def test_only_choices_are_the_artifacts(self):
+        names = [name for name, _ in build_artifacts(self._args())]
+        assert list(run_all_experiments.ARTIFACTS) == names
+
+    def test_only_rejects_an_unknown_artifact(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        with pytest.raises(SystemExit) as exc:
+            run_all_experiments.main(["--only", "fig3", "table_4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fig3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_only_runs_the_named_artifact(self, tmp_path):
+        run_all_experiments.main(
+            ["--only", "table3", "--scale", "0.05", "--out", str(tmp_path)]
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["table3.txt"]
+        assert "Table III" in (tmp_path / "table3.txt").read_text()
 
 
 class TestCommonHelpers:

@@ -81,7 +81,10 @@ class TestShardedParity:
         merged = create_engine(inner, graph, **kwargs)
         per_block = [create_engine(inner, block, **kwargs) for block in blocks]
         expected = [q.expected for q in queries]
-        assert [merged.query(q) for q in queries] == expected
+        assert [
+            merged.query_prepared(q.labels, q.source, q.target).answer
+            for q in queries
+        ] == expected
         assert merged.query_batch(queries) == expected
         for query in queries:
             (source_block, source), (target_block, target) = (
@@ -91,8 +94,10 @@ class TestShardedParity:
             if source_block != target_block:
                 assert query.expected is False
                 continue
-            local = RlcQuery(source, target, query.labels)
-            assert per_block[source_block].query(local) == query.expected, query
+            answer = per_block[source_block].query_prepared(
+                query.labels, source, target
+            ).answer
+            assert answer == query.expected, query
 
 
 def test_workloads_cover_cross_shard_and_both_answers(case):

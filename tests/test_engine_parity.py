@@ -90,10 +90,13 @@ class TestParity:
         graph, queries = workloads[topology]
         engine = create_engine(name, graph, **ENGINE_KWARGS.get(name, {}))
         expected = [q.expected for q in queries]
-        single = [engine.query(q) for q in queries]
+        single = [
+            engine.query_prepared(q.labels, q.source, q.target).answer
+            for q in queries
+        ]
         assert single == expected, f"{name} disagrees with the oracle on {topology}"
         batched = engine.query_batch(queries)
-        assert batched == single, f"{name} query_batch disagrees with query"
+        assert batched == single, f"{name} query_batch disagrees with query_prepared"
 
 
 def test_some_queries_true_and_some_false(workloads):

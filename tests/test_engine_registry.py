@@ -98,7 +98,7 @@ class TestSpecs:
         engine = create_engine("rlc?k=3", fig2)
         assert engine.name == "rlc-index"
         assert engine.k == 3
-        assert engine.query(RlcQuery(2, 5, (1, 0))) is True
+        assert engine.query_prepared((1, 0), 2, 5).answer is True
 
     def test_alias_resolves_everywhere_but_is_not_listed(self, fig2):
         assert "rlc" not in engine_names()
@@ -119,7 +119,7 @@ class TestEngineLifecycle:
     def test_query_before_prepare_raises(self):
         engine = RlcIndexEngine(k=2)
         with pytest.raises(EngineError, match="before prepare"):
-            engine.query(RlcQuery(0, 1, (0,)))
+            engine.query_prepared((0,), 0, 1)
 
     def test_prepare_returns_self_and_times_itself(self, fig2):
         engine = RlcIndexEngine(k=2)
@@ -129,7 +129,7 @@ class TestEngineLifecycle:
     def test_counters_accumulate(self, fig2):
         engine = create_engine("bfs", fig2)
         query = RlcQuery(2, 5, (1, 0))
-        engine.query(query)
+        engine.query_prepared(query.labels, query.source, query.target)
         engine.query_batch([query, query])
         stats = engine.stats()
         assert stats.queries == 1
@@ -142,7 +142,7 @@ class TestEngineLifecycle:
         engine = RlcIndexEngine.from_index(fig2_index)
         assert engine.prepared
         assert engine.backend is fig2_index
-        assert engine.query(RlcQuery(2, 5, (1, 0))) is True
+        assert engine.query_prepared((1, 0), 2, 5).answer is True
 
 
 class TestBatchedRlcIndex:
@@ -154,7 +154,10 @@ class TestBatchedRlcIndex:
             RlcQuery(2, 5, (0,)),     # shares the constraint above
             RlcQuery(5, 2, (1, 0)),   # shares the first constraint
         ]
-        sequential = [engine.query(q) for q in queries]
+        sequential = [
+            engine.query_prepared(q.labels, q.source, q.target).answer
+            for q in queries
+        ]
         assert engine.query_batch(queries) == sequential
 
     def test_batch_validates_every_endpoint(self, fig2_index):
@@ -199,7 +202,10 @@ class TestEngineBatches:
         engine = create_engine(name, graph, **NEEDS_K.get(name, {}))
         batch = self._mixed_batch(graph)
         answers = engine.query_batch(batch)
-        assert answers == [engine.query(q) for q in batch]
+        assert answers == [
+            engine.query_prepared(q.labels, q.source, q.target).answer
+            for q in batch
+        ]
         assert answers == [
             brute_force_rlc(graph, q.source, q.target, q.labels) for q in batch
         ]
@@ -214,7 +220,9 @@ class TestEngineBatches:
             with pytest.raises(CapabilityError, match=repr(name)):
                 engine.query_batch([over_k])
         else:
-            assert engine.query_batch([over_k]) == [engine.query(over_k)]
+            assert engine.query_batch([over_k]) == [
+                engine.query_prepared(over_k.labels, 0, 1).answer
+            ]
         assert engine.query_batch([]) == []
 
     @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ Covers the PR-5 API redesign end to end:
 
 - :class:`PreparedQuery` compilation artifacts (normalization, NFA,
   digest stability);
-- randomized parity between ``query_prepared`` and the legacy bool
-  path for every registry engine;
+- randomized parity between ``query_prepared`` and the brute-force
+  oracle for every registry engine;
 - witness-path validity for every engine: the returned path must be a
   real path of the graph whose label sequence is a power of the
   constraint;
@@ -121,7 +121,7 @@ class TestPreparedQueryObject:
 
 
 class TestPreparedParity:
-    """Prepared answers match the legacy bool path on random graphs."""
+    """Prepared answers match the brute-force oracle on random graphs."""
 
     @pytest.mark.parametrize("spec", FLAT_ENGINES)
     def test_prepared_matches_legacy_and_oracle(self, spec):

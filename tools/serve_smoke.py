@@ -127,7 +127,9 @@ def main() -> int:
                         "labels": list(query.labels),
                     },
                 )
-                direct = engine.query(query)
+                direct = engine.query_prepared(
+                    query.labels, query.source, query.target
+                ).answer
                 if body["answer"] != direct:
                     mismatches += 1
                     print(
@@ -167,7 +169,10 @@ def main() -> int:
                 },
             )
             assert batch["ok"] is True, batch
-            assert batch["answers"] == [engine.query(q) for q in workload]
+            assert batch["answers"] == [
+                engine.query_prepared(q.labels, q.source, q.target).answer
+                for q in workload
+            ]
             print(
                 f"/batch ok: {batch['total']} queries, "
                 f"{batch['mismatches']} mismatches"
