@@ -10,20 +10,42 @@ Regressions here surface before they blur a paper-level table.
 
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
 from repro.automata.compile import constraint_automaton
 from repro.baselines import NfaBfs
+from repro.engine import create_engine
+from repro.graph import datasets
 from repro.labels.minimum_repeat import minimum_repeat
 from repro.queries import validate_rlc_query
+from repro.workloads import generate_workload
 
-if __package__ in (None, ""):  # direct execution: make `benchmarks` importable
-    import pathlib
-    import sys
 
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+@lru_cache(maxsize=None)
+def dataset(name: str, scale: float = 1.0):
+    """Cached dataset stand-in (graphs are immutable)."""
+    return datasets.load_dataset(name, scale=scale)
 
-from benchmarks._common import dataset, dataset_index, dataset_workload
+
+@lru_cache(maxsize=None)
+def dataset_index(name: str, scale: float = 1.0, k: int = 2):
+    """Cached RLC index for a dataset stand-in, built through the registry."""
+    return create_engine("rlc-index", dataset(name, scale), k=k).backend
+
+
+@lru_cache(maxsize=None)
+def dataset_workload(
+    name: str, scale: float = 1.0, k: int = 2, num_queries: int = 100, seed: int = 7
+):
+    """Cached true/false workload for a dataset stand-in."""
+    return generate_workload(
+        dataset(name, scale),
+        k,
+        num_true=num_queries,
+        num_false=num_queries,
+        seed=seed,
+        graph_name=name,
+    )
 
 
 def test_minimum_repeat_short(benchmark):

@@ -6,6 +6,10 @@ Writes one aligned-text file per table/figure into ``--out`` (default
 The heavy five datasets (WH, PR, SO, LJ, WF) appear at full stand-in
 scale in Table IV and at 0.3x in Fig. 3 (their query-time rows are
 shape-identical; the reduced scale keeps the full run under an hour).
+
+``--scale`` multiplies every graph size: the dataset stand-ins and the
+|V| of the synthetic Figs. 5-7 (1000 for Figs. 5 and 7, 500-8000 for
+Fig. 6 at the default 1.0).
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ ARTIFACTS = (
 
 def build_artifacts(args):
     nq = args.queries
+
+    def vertices(n: int) -> int:
+        # The synthetic figures' |V| at --scale (exactly n at 1.0).
+        return round(n * args.scale)
+
     return [
         ("table3", lambda: experiments.experiment_table3(scale=args.scale)),
         (
@@ -68,13 +77,14 @@ def build_artifacts(args):
         (
             "fig5",
             lambda: experiments.experiment_fig5(
-                num_vertices=args.fig5_vertices, num_queries=min(nq, 100)
+                num_vertices=vertices(1000), num_queries=min(nq, 100)
             ),
         ),
         (
             "fig6",
             lambda: experiments.experiment_fig6(
-                sizes=(500, 1000, 2000, 4000, 8000), num_queries=min(nq, 100)
+                sizes=tuple(vertices(n) for n in (500, 1000, 2000, 4000, 8000)),
+                num_queries=min(nq, 100),
             ),
         ),
         (
@@ -86,7 +96,7 @@ def build_artifacts(args):
         (
             "fig7",
             lambda: experiments.experiment_fig7(
-                num_vertices=1000, ks=(2, 3, 4), num_queries=min(nq, 100)
+                num_vertices=vertices(1000), ks=(2, 3, 4), num_queries=min(nq, 100)
             ),
         ),
         (
@@ -108,7 +118,6 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--etc-budget", type=float, default=60.0)
     parser.add_argument("--time-cap", type=float, default=30.0)
-    parser.add_argument("--fig5-vertices", type=int, default=1000)
     parser.add_argument(
         "--only",
         nargs="*",

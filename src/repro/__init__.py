@@ -27,8 +27,8 @@ index algorithms, ``repro.engine`` for the registry and service,
 ``repro.graph`` for graphs.
 
 ``docs/ARCHITECTURE.md`` maps the subsystems, and
-``benchmarks/run_all_experiments.py`` regenerates every table and
-figure the paper reports.
+``benchmarks/run_all_experiments.py --only NAME`` regenerates any table
+or figure the paper reports (all of them without ``--only``).
 """
 
 from repro.errors import (
@@ -63,7 +63,7 @@ from repro.core import (
 from repro.engine.base import PreparedQuery, QueryOutcome
 from repro.api import ReplayServer, Session, open_session
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "BudgetExceededError",

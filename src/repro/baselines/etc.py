@@ -18,10 +18,10 @@ import time
 from collections import deque
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
-from repro.errors import BudgetExceededError, QueryError
+from repro.errors import BudgetExceededError
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.labels.minimum_repeat import minimum_repeat
-from repro.queries import validate_rlc_query
+from repro.queries import validate_build_options, validate_rlc_query
 
 __all__ = ["ExtendedTransitiveClosure"]
 
@@ -75,8 +75,7 @@ class ExtendedTransitiveClosure:
         paper's 24-hour / out-of-memory cut-offs; exceeding either
         raises :class:`~repro.errors.BudgetExceededError`.
         """
-        if k < 1:
-            raise QueryError(f"recursive k must be >= 1, got {k}")
+        validate_build_options(k, time_budget=time_budget, max_entries=max_entries)
         started = time.perf_counter()
         closure: Dict[Pair, Set[Mr]] = {}
         entry_count = 0

@@ -6,8 +6,9 @@
   rendering;
 - :mod:`repro.bench.experiments` — one driver per paper artifact
   (Table III/IV/V, Fig. 3-7, plus the design-choice ablations), each
-  returning a :class:`~repro.bench.harness.ResultTable` that the
-  ``benchmarks/`` scripts print and assert on.
+  returning a :class:`~repro.bench.harness.ResultTable` that
+  ``benchmarks/run_all_experiments.py --only NAME`` writes out and the
+  test-suite asserts on.
 """
 
 from repro.bench.harness import (

@@ -1,11 +1,11 @@
 """Experiment drivers: one function per paper table/figure.
 
 Each driver assembles graphs and workloads, runs the engines, and
-returns a :class:`~repro.bench.harness.ResultTable` whose raw rows the
-benchmark scripts print and the test-suite asserts on.  Default
-parameters are sized for minutes-scale reproduction runs; the
-``benchmarks/`` scripts expose knobs (``num_queries``, ``scale`` …) to
-grow any experiment toward the paper's settings.
+returns a :class:`~repro.bench.harness.ResultTable` whose raw rows
+``benchmarks/run_all_experiments.py --only NAME`` writes out and the
+test-suite asserts on.  Default parameters are sized for minutes-scale
+reproduction runs; that script's ``--scale`` and ``--queries`` grow any
+experiment toward the paper's settings.
 
 Every query-time cell of Figs. 3-7 comes from one loop,
 :func:`~repro.bench.harness.run_query_set`, over an engine built by

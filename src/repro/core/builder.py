@@ -53,6 +53,7 @@ from repro.labels.minimum_repeat import (
     minimum_repeat,
     suffix_kernel_decomposition,
 )
+from repro.queries import validate_build_options
 
 __all__ = ["RlcIndexBuilder", "build_rlc_index"]
 
@@ -96,8 +97,7 @@ class RlcIndexBuilder:
         seed: Optional[int] = None,
         time_budget: Optional[float] = None,
     ) -> None:
-        if k < 1:
-            raise QueryError(f"recursive k must be >= 1, got {k}")
+        validate_build_options(k, time_budget=time_budget)
         if strategy not in STRATEGIES:
             raise QueryError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         self._graph = graph

@@ -15,6 +15,7 @@ constraints longer than an index's ``k``).
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from repro.labels.sequences import format_constraint
 
 __all__ = [
     "RlcQuery",
+    "validate_build_options",
     "validate_constraint_labels",
     "validate_rlc_query",
     "vertex_id",
@@ -158,3 +160,36 @@ def validate_rlc_query(
     if not graph.has_vertex(vertex_id(target, "target")):
         raise QueryError(f"unknown target vertex: {target}")
     return validate_constraint_labels(graph, labels, k=k)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``operator.index`` takes ``value`` (``np.int64`` yes, bool no)."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def validate_build_options(k, *, time_budget=None, max_entries=None) -> None:
+    """Reject an index build's ``k`` and budgets of the wrong type or range.
+
+    Engine-spec values arrive from text (``"rlc?k=x"``), so a wrong type
+    must fail here as a :class:`QueryError` rather than as a
+    ``TypeError`` inside the build.  ``k`` is an integer >= 1,
+    ``time_budget`` a real number of seconds or ``None`` and
+    ``max_entries`` an integer or ``None``; bools are refused for all
+    three.
+    """
+    if not _is_integer(k) or k < 1:
+        raise QueryError(f"recursive k must be an integer >= 1, got {k!r}")
+    if time_budget is not None and (
+        isinstance(time_budget, bool) or not isinstance(time_budget, numbers.Real)
+    ):
+        raise QueryError(
+            f"time_budget must be a number of seconds or None, got {time_budget!r}"
+        )
+    if max_entries is not None and not _is_integer(max_entries):
+        raise QueryError(f"max_entries must be an integer or None, got {max_entries!r}")

@@ -212,6 +212,18 @@ class TestQueryEndpoint:
         assert status == 400
         assert f"unknown engine '{spec}'" in body["error"]
 
+    @pytest.mark.parametrize("spec", ["rlc?k=x", "rlc?time_budget=abc"])
+    def test_wrongly_typed_spec_value_is_400(self, server, spec):
+        status, body = post(
+            server,
+            "/query",
+            {"source": 0, "target": 1, "labels": [0], "engine": spec},
+        )
+        assert status == 400
+        assert "must be" in body["error"]
+        status, body = post(server, "/prepare", {"labels": [0], "engine": spec})
+        assert status == 400 and "must be" in body["error"]
+
     def test_non_json_body_is_400(self, server):
         request = urllib.request.Request(
             server.url + "/query", data=b"not json", method="POST"

@@ -57,7 +57,7 @@ class TestTable4:
         # The paper's headline: RLC index much smaller than ETC.
         for row in table4.rows:
             if row["etc_is_bytes"] is not None:
-                assert row["rlc_is_bytes"] < row["etc_is_bytes"]
+                assert row["rlc_is_bytes"] < row["etc_is_bytes"] / 5, row
 
     def test_budget_produces_dashes(self):
         table = experiments.experiment_table4(
@@ -199,6 +199,8 @@ class TestFig7:
         )
         assert [row["k"] for row in table.rows] == [2, 3]
         assert table.rows[1]["size_bytes"] >= table.rows[0]["size_bytes"]
+        # Indexing time grows with k (paper Fig. 7).
+        assert table.rows[1]["indexing_s"] > table.rows[0]["indexing_s"]
 
 
 class TestAblations:
@@ -207,8 +209,10 @@ class TestAblations:
         variants = table.column("variant")
         assert variants[0] == "all rules" and variants[-1] == "no rules"
         by_variant = {row["variant"]: row for row in table.rows}
-        # Removing all pruning rules can only grow the index.
-        assert by_variant["no rules"]["entries"] >= by_variant["all rules"]["entries"]
+        # Removing all pruning rules grows the index and slows the build.
+        unpruned, pruned = by_variant["no rules"], by_variant["all rules"]
+        assert unpruned["entries"] > pruned["entries"]
+        assert unpruned["indexing_s"] > pruned["indexing_s"]
         # With all rules on, both PR counters fire on a cyclic graph.
         assert by_variant["all rules"]["pruned_pr1"] > 0
         assert by_variant["all rules"]["pruned_pr2"] > 0

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import pathlib
 
 import pytest
 
-from benchmarks import _common, run_all_experiments
+from benchmarks import bench_micro_operations, run_all_experiments
 from benchmarks.run_all_experiments import FAST, HEAVY, build_artifacts
+from repro.bench import experiments
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestArtifactRegistry:
@@ -18,7 +22,6 @@ class TestArtifactRegistry:
             repeats=1,
             etc_budget=1.0,
             time_cap=5.0,
-            fig5_vertices=100,
         )
 
     def test_covers_every_paper_artifact(self):
@@ -65,23 +68,62 @@ class TestArtifactRegistry:
         assert [path.name for path in tmp_path.iterdir()] == ["table3.txt"]
         assert "Table III" in (tmp_path / "table3.txt").read_text()
 
+    def test_default_scale_keeps_the_synthetic_sizes(self, monkeypatch):
+        # --scale multiplies the synthetic figures' |V|; at 1.0 they run
+        # exactly the sizes they ran before it did.
+        received = {}
+
+        def recorder(name):
+            def record(**kwargs):
+                received[name] = kwargs
+
+            return record
+
+        synthetic = ("fig5", "fig6", "fig7")
+        for name in synthetic:
+            monkeypatch.setattr(experiments, f"experiment_{name}", recorder(name))
+        for name, runner in build_artifacts(self._args()):
+            if name in synthetic:
+                runner()
+        assert received == {
+            "fig5": {"num_vertices": 1000, "num_queries": 10},
+            "fig6": {
+                "sizes": (500, 1000, 2000, 4000, 8000),
+                "num_queries": 10,
+            },
+            "fig7": {
+                "num_vertices": 1000,
+                "ks": (2, 3, 4),
+                "num_queries": 10,
+            },
+        }
+
+    def test_every_benchmark_file_is_run(self):
+        # A benchmarks/ file is either the paper driver or a CI step;
+        # anything else is code no run reaches.
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        unrun = [
+            path.name
+            for path in sorted((REPO / "benchmarks").glob("*.py"))
+            if path.name != "run_all_experiments.py"
+            and f"benchmarks/{path.name}" not in ci
+        ]
+        assert unrun == []
+
 
 class TestCommonHelpers:
+    """The cached inputs of ``benchmarks/bench_micro_operations.py``."""
+
     def test_dataset_cache_returns_same_object(self):
-        a = _common.dataset("AD", 0.2)
-        b = _common.dataset("AD", 0.2)
+        a = bench_micro_operations.dataset("AD", 0.2)
+        b = bench_micro_operations.dataset("AD", 0.2)
         assert a is b
 
     def test_index_cache(self):
-        a = _common.dataset_index("AD", 0.2)
-        assert a is _common.dataset_index("AD", 0.2)
+        a = bench_micro_operations.dataset_index("AD", 0.2)
+        assert a is bench_micro_operations.dataset_index("AD", 0.2)
         assert a.k == 2
 
     def test_workload_cache_counts(self):
-        w = _common.dataset_workload("AD", 0.2, num_queries=5)
+        w = bench_micro_operations.dataset_workload("AD", 0.2, num_queries=5)
         assert len(w.true_queries) == 5 and len(w.false_queries) == 5
-
-    def test_standard_parser_flags(self):
-        parser = _common.standard_parser("x")
-        args = parser.parse_args(["--scale", "0.5", "--queries", "10", "--quick"])
-        assert args.scale == 0.5 and args.queries == 10 and args.quick

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -20,6 +21,7 @@ from repro.errors import (
     EngineError,
     NonPrimitiveConstraintError,
     QueryError,
+    ReproError,
 )
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.queries import RlcQuery
@@ -99,6 +101,28 @@ class TestSpecs:
         assert engine.name == "rlc-index"
         assert engine.k == 3
         assert engine.query_prepared((1, 0), 2, 5).answer is True
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "rlc?k=2.5",
+            "rlc?k=3.0",
+            "rlc?k=true",
+            "rlc?k=x",
+            "rlc?time_budget=abc",
+            "etc?k=x",
+            "etc?max_entries=abc",
+            "etc?max_entries=2.5",
+        ],
+    )
+    def test_wrongly_typed_spec_values_rejected(self, spec, fig2):
+        with pytest.raises(ReproError, match="must be"):
+            create_engine(spec, fig2)
+
+    def test_numpy_integer_k_accepted(self, fig2):
+        assert create_engine("rlc", fig2, k=np.int64(3)).k == 3
+        engine = create_engine("etc", fig2, k=np.int64(2), max_entries=np.int64(10**6))
+        assert engine.k == 2
 
     def test_alias_resolves_everywhere_but_is_not_listed(self, fig2):
         assert "rlc" not in engine_names()
