@@ -28,9 +28,13 @@ one process owns the prepared engines and answers a stream of queries.
 Every POST may name an ``"engine"`` spec — the server replays against
 any registry spec, preparing it lazily through the session on first
 use; equivalent spellings (``rlc``, ``rlc-index?k=2``) share one
-engine.  Handler threads serialize on one lock (the per-engine LRU
-caches are not thread-safe; queries are microseconds, so the lock, not
-the engine, is the right concurrency boundary at this scale).
+engine.
+
+The server holds no lock of its own: handler threads call straight
+into the shared session.  Engines are read-only after ``prepare()``,
+and each spec's :class:`~repro.engine.QueryService` releases its lock
+while the engine evaluates, so a ``/batch`` in flight does not hold up
+a ``/query``.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _SessionHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns the session and the serving lock."""
+    """ThreadingHTTPServer that owns the session."""
 
     daemon_threads = True
 
@@ -168,10 +172,6 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.session = session
         self.quiet = quiet
-        self._lock = threading.Lock()
-
-    # Handlers call in from their own threads; everything touching a
-    # QueryService (whose LRU is a plain OrderedDict) takes the lock.
 
     def healthz(self) -> Dict:
         session = self.session
@@ -192,12 +192,11 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         return body
 
     def stats(self) -> Dict:
-        with self._lock:
-            return {
-                "engine": self.session.default_engine_spec,
-                "engines": list(self.session.engine_specs()),
-                "services": self.session.stats(),
-            }
+        return {
+            "engine": self.session.default_engine_spec,
+            "engines": list(self.session.engine_specs()),
+            "services": self.session.stats(),
+        }
 
     def handle_query(self, payload: Dict) -> Dict:
         source, target, labels = _require_query(payload)
@@ -210,26 +209,24 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         explain = payload.get("explain")
         if explain is not None and not isinstance(explain, bool):
             raise _BadRequest("'explain' must be a boolean")
-        with self._lock:
-            if explain:
-                # explain defaults to attaching a witness (its historical
-                # behaviour); an explicit "witness": false declines it.
-                body = self.session.explain(
-                    source,
-                    target,
-                    labels,
-                    engine=spec,
-                    witness=witness if witness is not None else True,
-                )
-            else:
-                outcome = self.session.query_outcome(
-                    source, target, labels, engine=spec, witness=bool(witness)
-                )
-                body = outcome.as_dict()
-                # 'engine' names the requested spec (what the caller can
-                # replay against); the engine's own id is 'engine_id'.
-                body["engine_id"] = body["engine"]
-                body["engine"] = spec or self.session.default_engine_spec
+        if explain:
+            # explain defaults to attaching a witness (its historical
+            # behaviour); an explicit "witness": false declines it.
+            return self.session.explain(
+                source,
+                target,
+                labels,
+                engine=spec,
+                witness=witness if witness is not None else True,
+            )
+        outcome = self.session.query_outcome(
+            source, target, labels, engine=spec, witness=bool(witness)
+        )
+        body = outcome.as_dict()
+        # 'engine' names the requested spec (what the caller can
+        # replay against); the engine's own id is 'engine_id'.
+        body["engine_id"] = body["engine"]
+        body["engine"] = spec or self.session.default_engine_spec
         return body
 
     def handle_prepare(self, payload: Dict) -> Dict:
@@ -237,12 +234,11 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         spec = payload.get("engine")
         if spec is not None and not isinstance(spec, str):
             raise _BadRequest("'engine' must be a spec string")
-        with self._lock:
-            prepared = self.session.prepare(labels, engine=spec)
-            engine = self.session.service(spec).engine
-            body = prepared.as_dict()
-            body["engine"] = spec or self.session.default_engine_spec
-            body["engine_id"] = engine.name
+        prepared = self.session.prepare(labels, engine=spec)
+        engine = self.session.service(spec).engine
+        body = prepared.as_dict()
+        body["engine"] = spec or self.session.default_engine_spec
+        body["engine_id"] = engine.name
         return body
 
     def handle_batch(self, payload: Dict) -> Dict:
@@ -264,9 +260,7 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         verify = payload.get("verify", True)
         if not isinstance(verify, bool):
             raise _BadRequest("'verify' must be a boolean")
-        with self._lock:
-            report = self.session.run(queries, engine=spec, verify=verify)
-        return report.as_dict()
+        return self.session.run(queries, engine=spec, verify=verify).as_dict()
 
 
 class ReplayServer:

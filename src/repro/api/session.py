@@ -24,12 +24,16 @@ constructor arguments and so share that one engine too.  Answers are
 byte-identical to driving the flat
 :class:`QueryService` by hand — the facade adds lifecycle, not
 semantics.
+
+Threads may share a session: a new spec's engine is built once, under
+the session's lock, and per-query state lives in each service.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
+import threading
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.engine.base import EngineBase, PreparedQuery, QueryOutcome
@@ -123,7 +127,9 @@ class Session:
         self._digest: Optional[str] = None
         # Raw (spec, options) keys and canonical keys alike map to the
         # service that owns an engine; equivalent spellings share one.
+        # Read without the lock; written only under it.
         self._services: Dict[str, QueryService] = {}
+        self._lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -206,10 +212,10 @@ class Session:
 
     def _named_services(self) -> Dict[str, QueryService]:
         """Each distinct service, under the spec spelling that created it."""
-        first: Dict[int, str] = {}
-        for key, service in self._services.items():
-            first.setdefault(id(service), key)
-        return {key: self._services[key] for key in first.values()}
+        with self._lock:
+            items = list(self._services.items())
+        # Reversed, so the first spelling of each service wins.
+        return dict({id(s): (key, s) for key, s in reversed(items)}.values())
 
     def engine_specs(self) -> Tuple[str, ...]:
         """Specs of the engines this session has prepared so far.
@@ -251,16 +257,19 @@ class Session:
         key = _spec_key(spec, options)
         service = self._services.get(key)
         if service is None:
-            canonical = _canonical_key(spec, options)
-            service = self._services.get(canonical)
-            if service is None:
-                service = self._new_service(
-                    create_engine(spec, self.graph, **options)
-                )
-            # The raw key goes in first, so a new service is listed
-            # under the spelling that created it.
-            self._services[key] = service
-            self._services.setdefault(canonical, service)
+            with self._lock:
+                # Re-checked under the lock: a thread that built this
+                # engine meanwhile stored it under the canonical key.
+                canonical = _canonical_key(spec, options)
+                service = self._services.get(canonical)
+                if service is None:
+                    service = self._new_service(
+                        create_engine(spec, self.graph, **options)
+                    )
+                # The raw key goes in first, so a new service is listed
+                # under the spelling that created it.
+                self._services[key] = service
+                self._services.setdefault(canonical, service)
         return service
 
     def _new_service(self, engine: EngineBase) -> QueryService:

@@ -233,10 +233,9 @@ def _cmd_bench(args) -> int:
     )
     engine = session.engine(args.engine, **options)
     report = session.run(workload, engine=args.engine, **options)
-    stats = engine.stats()
     print(
         f"prepared {args.engine} over {session.graph!r} "
-        f"in {stats.prepare_seconds:.2f}s"
+        f"in {engine.prepare_seconds:.2f}s"
     )
     print(report.summary())
     return 0 if report.ok else 1

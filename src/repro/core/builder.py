@@ -97,7 +97,8 @@ class RlcIndexBuilder:
         seed: Optional[int] = None,
         time_budget: Optional[float] = None,
     ) -> None:
-        validate_build_options(k, time_budget=time_budget)
+        toggles = dict(use_pr1=use_pr1, use_pr2=use_pr2, use_pr3=use_pr3)
+        validate_build_options(k, time_budget=time_budget, **toggles)
         if strategy not in STRATEGIES:
             raise QueryError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         self._graph = graph

@@ -3,10 +3,10 @@
 Everything that can answer an RLC query — the RLC index, the four
 online/materialized baselines and the three simulated Table V systems
 — is wrapped in the :class:`EngineBase` contract (``prepare`` /
-``prepare_query`` / ``query_prepared`` / ``query_batch`` / ``stats``,
-all reaching the backend through one ``_evaluate`` hook), constructed
-by name (or parameterized spec) through the registry, and served
-through the batching/caching :class:`QueryService`::
+``prepare_query`` / ``query_prepared`` / ``query_batch``, all reaching
+the backend through one ``_evaluate`` hook), constructed by name (or
+parameterized spec) through the registry, and served through the
+batching/caching :class:`QueryService`::
 
     from repro.engine import QueryService, create_engine
 
@@ -20,11 +20,13 @@ through the batching/caching :class:`QueryService`::
   string-keyed construction and the ``name[?key=value&...]`` spec
   grammar;
 - :mod:`repro.engine.service` — batched, cached, verified serving.
+
+Engines are read-only after ``prepare()``; a :class:`QueryService` keeps
+all per-query state under its own lock, so threads may share either.
 """
 
 from repro.engine.base import (
     EngineBase,
-    EngineStats,
     PreparedQuery,
     QueryOutcome,
 )
@@ -54,7 +56,6 @@ __all__ = [
     "BiBfsEngine",
     "DfsEngine",
     "EngineBase",
-    "EngineStats",
     "EtcEngine",
     "PreparedQuery",
     "QueryOutcome",

@@ -12,10 +12,13 @@ This module defines that contract for the repro library:
   boolean plus provenance (engine id, whether a service cache served
   it, witness path when requested, wall time);
 - :class:`EngineBase` — the contract (``name``, ``prepare``,
-  ``prepare_query``, ``query_prepared``, ``query_batch``, ``stats``)
-  that callers such as :class:`repro.engine.QueryService` and the
-  benchmark harness program against, and the scaffolding every adapter
-  inherits.
+  ``prepare_query``, ``query_prepared``, ``query_batch``) that callers
+  such as :class:`repro.engine.QueryService` and the benchmark harness
+  program against, and the scaffolding every adapter inherits.
+
+An engine is read-only after :meth:`~EngineBase.prepare` (which sets
+``prepare_seconds``): it keeps no counters and takes no lock, so
+threads may share it.  Per-query counters live in its ``QueryService``.
 
 An adapter supplies exactly two hooks: ``_prepare(graph)`` builds its
 backend, and ``_evaluate(backend, prepared, source, target) -> bool``
@@ -40,7 +43,6 @@ Adapters for the concrete answerers live in
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from hashlib import sha256
@@ -60,7 +62,6 @@ from repro.labels.sequences import format_constraint
 from repro.queries import RlcQuery, validate_constraint_labels, vertex_id
 
 __all__ = [
-    "EngineStats",
     "EngineBase",
     "PreparedQuery",
     "QueryOutcome",
@@ -212,7 +213,7 @@ class PreparedQuery:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryOutcome:
     """The structured result of one prepared query.
 
@@ -220,7 +221,8 @@ class QueryOutcome:
     whether a :class:`QueryService` answered it from its result cache
     (``cached``), the witness path when one was requested, and the
     evaluation wall time.
-    Outcomes are truthy exactly when the answer is.
+    Outcomes are truthy exactly when the answer is.  Each is built for
+    one caller, so it is a slotted record, neither frozen nor hashable.
     """
 
     answer: bool
@@ -255,27 +257,6 @@ class QueryOutcome:
         return payload
 
 
-@dataclass
-class EngineStats:
-    """Counters every engine maintains (mirrors :class:`BuildStats`)."""
-
-    prepare_seconds: float = 0.0
-    queries: int = 0
-    batches: int = 0
-    batched_queries: int = 0
-    query_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict view (used by the benchmark harness and CLI)."""
-        return {
-            "prepare_seconds": self.prepare_seconds,
-            "queries": self.queries,
-            "batches": self.batches,
-            "batched_queries": self.batched_queries,
-            "query_seconds": self.query_seconds,
-        }
-
-
 class EngineBase:
     """The engine contract and the adapter scaffolding that implements it.
 
@@ -297,11 +278,8 @@ class EngineBase:
     def __init__(self) -> None:
         self._graph: Optional[EdgeLabeledDigraph] = None
         self._backend = None
-        self._stats = EngineStats()
-        # Engines are read-only after prepare(), so callers sharing one
-        # engine across threads only contend on the counters; this lock
-        # keeps their read-modify-write updates exact.
-        self._stats_lock = threading.Lock()
+        #: Wall time of the last :meth:`prepare` (0.0 before it runs).
+        self.prepare_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Hooks
@@ -324,7 +302,7 @@ class EngineBase:
         started = time.perf_counter()
         self._backend = self._prepare(graph)
         self._graph = graph
-        self._stats.prepare_seconds += time.perf_counter() - started
+        self.prepare_seconds = time.perf_counter() - started
         return self
 
     @property
@@ -420,9 +398,6 @@ class EngineBase:
         started = time.perf_counter()
         answer = bool(self._evaluate(backend, prepared, source, target))
         elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self._stats.query_seconds += elapsed
-            self._stats.queries += 1
         path = (
             self.witness_path(prepared, source, target, answer=answer)
             if witness
@@ -451,7 +426,6 @@ class EngineBase:
         evaluate = self._evaluate
         prepared_for: Dict[Tuple[int, ...], PreparedQuery] = {}
         answers: List[bool] = []
-        started = time.perf_counter()
         for query in queries:
             prepared = prepared_for.get(query.labels)
             if prepared is None:
@@ -464,11 +438,6 @@ class EngineBase:
             if not has_vertex(target):
                 raise QueryError(f"unknown target vertex: {target}")
             answers.append(bool(evaluate(backend, prepared, source, target)))
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self._stats.query_seconds += elapsed
-            self._stats.batches += 1
-            self._stats.batched_queries += len(answers)
         return answers
 
     # ------------------------------------------------------------------
@@ -512,14 +481,6 @@ class EngineBase:
         from repro.core.witness import find_witness_path
 
         return find_witness_path(self._graph, source, target, prepared.labels)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats(self) -> EngineStats:
-        """The engine's cumulative counters (live object, not a copy)."""
-        return self._stats
 
     def __repr__(self) -> str:
         state = "prepared" if self.prepared else "unprepared"

@@ -22,16 +22,21 @@ rather than a raw label spelling, so equivalent spellings (lists,
 numpy ints) share one entry.  :meth:`query_outcome` returns the full
 :class:`~repro.engine.base.QueryOutcome`, with ``cached`` set when the
 LRU served it; the bool-returning :meth:`query` is a shim over it.
+
+A service is the one object on the query path that changes after its
+engine's ``prepare()``: its LRU, prepared memo and counters sit under
+one lock, released while the engine evaluates, so threads may share it.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.base import EngineBase, EngineStats, PreparedQuery, QueryOutcome
+from repro.engine.base import EngineBase, PreparedQuery, QueryOutcome
 from repro.errors import EngineError
 from repro.queries import RlcQuery, vertex_id
 
@@ -129,10 +134,16 @@ class QueryService:
             raise EngineError(f"cache_size must be >= 0, got {cache_size}")
         self._engine = engine
         self._cache_size = cache_size
+        self._lock = threading.Lock()
         self._cache: "OrderedDict[CacheKey, bool]" = OrderedDict()
-        self._prepared: Dict[Tuple, PreparedQuery] = {}
+        # Keyed by normalized label tuples only; read without the lock.
+        self._prepared: Dict[Tuple[int, ...], PreparedQuery] = {}
         self._hits = 0
         self._misses = 0
+        self._engine_queries = 0
+        self._engine_query_seconds = 0.0
+        self._engine_batches = 0
+        self._engine_batched_queries = 0
 
     # ------------------------------------------------------------------
     # Serving
@@ -147,20 +158,23 @@ class QueryService:
 
         The service-level face of the prepared lifecycle: repeated
         calls with the same (or equivalently spelled) constraint return
-        the same object, whose digest keys the result cache.
+        the same object, whose digest keys the result cache.  Only
+        plain ``int`` labels hit the memo (``1.0 == True == 1``); the
+        engine validates any other spelling.
         """
         key = tuple(labels)
         prepared = self._prepared.get(key)
         if prepared is not None:
-            return prepared
+            for label in key:
+                if type(label) is not int:
+                    break
+            else:
+                return prepared
         prepared = self._engine.prepare_query(key)
-        if len(self._prepared) >= _PREPARED_MEMO_LIMIT:
-            self._prepared.clear()
-        self._prepared[key] = prepared
-        if prepared.labels != key:
-            # Alias the normalized spelling (numpy ints, lists) too.
-            self._prepared[prepared.labels] = prepared
-        return prepared
+        with self._lock:
+            if len(self._prepared) >= _PREPARED_MEMO_LIMIT:
+                self._prepared.clear()
+            return self._prepared.setdefault(prepared.labels, prepared)
 
     def query_outcome(
         self, source: int, target: int, labels, *, witness: bool = False
@@ -179,9 +193,14 @@ class QueryService:
             target = vertex_id(target, "target")
         key = (source, target, prepared.digest)
         started = time.perf_counter()
-        cached = self._cache_lookup(key)
+        with self._lock:
+            cached = self._cache.get(key)
+            if cached is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+                self._cache.move_to_end(key)
         if cached is not None:
-            self._hits += 1
             path = None
             if witness:
                 path = self._engine.witness_path(
@@ -197,11 +216,13 @@ class QueryService:
                 witness=path,
                 seconds=time.perf_counter() - started,
             )
-        self._misses += 1
         outcome = self._engine.query_prepared(
             prepared, source, target, witness=witness
         )
-        self._cache_put(key, outcome.answer)
+        with self._lock:
+            self._engine_queries += 1
+            self._engine_query_seconds += outcome.seconds
+            self._cache_put(key, outcome.answer)
         return outcome
 
     def query(self, source: int, target: int, labels) -> bool:
@@ -225,57 +246,62 @@ class QueryService:
         """
         batch = list(queries)
         answers: List[Optional[bool]] = [None] * len(batch)
+        started = time.perf_counter()
+        keys: List[CacheKey] = []
+        for query in batch:
+            source, target = query.source, query.target
+            if type(source) is not int:
+                source = vertex_id(source, "source")
+            if type(target) is not int:
+                target = vertex_id(target, "target")
+            keys.append((source, target, self.prepare(query.labels).digest))
         # With caching on, duplicate uncached queries collapse onto one
         # in-flight group: the engine evaluates each distinct key once
         # and the answer fans out to every position that asked for it.
         # With cache_size=0 the caller asked to measure raw engine
         # execution, so every occurrence runs individually.
-        pending_groups: List[List[int]] = []
+        pending: List[Tuple[CacheKey, List[int]]] = []
         group_of: Dict[CacheKey, List[int]] = {}
-        key_of: List[Optional[CacheKey]] = [None] * len(batch)
-        hits = misses = 0
-        started = time.perf_counter()
-        for position, query in enumerate(batch):
-            key = (
-                vertex_id(query.source, "source"),
-                vertex_id(query.target, "target"),
-                self.prepare(query.labels).digest,
-            )
-            key_of[position] = key
-            cached = self._cache_lookup(key)
-            if cached is not None:
-                answers[position] = cached
-                hits += 1
-                continue
-            misses += 1
-            if self._cache_size == 0:
-                pending_groups.append([position])
-                continue
-            group = group_of.get(key)
-            if group is None:
-                group = []
-                group_of[key] = group
-                pending_groups.append(group)
-            group.append(position)
+        cache = self._cache
+        with self._lock:
+            for position, key in enumerate(keys):
+                cached = cache.get(key)
+                if cached is not None:
+                    cache.move_to_end(key)
+                    answers[position] = cached
+                    continue
+                group = group_of.get(key) if self._cache_size else None
+                if group is None:
+                    group = group_of[key] = []
+                    pending.append((key, group))
+                group.append(position)
+            misses = sum(len(positions) for _, positions in pending)
+            self._hits += len(batch) - misses
+            self._misses += misses
         batches = 0
-        if pending_groups:
+        if pending:
+            evaluated = time.perf_counter()
             group_answers = self._engine.query_batch(
-                [batch[positions[0]] for positions in pending_groups]
+                [batch[positions[0]] for _, positions in pending]
             )
-            batches = 1
-            if len(group_answers) != len(pending_groups):
+            elapsed = time.perf_counter() - evaluated
+            if len(group_answers) != len(pending):
                 raise EngineError(
                     f"engine {self._engine.name!r} returned "
                     f"{len(group_answers)} answers for "
-                    f"{len(pending_groups)} queries"
+                    f"{len(pending)} queries"
                 )
-            for positions, answer in zip(pending_groups, group_answers):
-                self._cache_put(key_of[positions[0]], answer)
+            batches = 1
+            with self._lock:
+                self._engine_batches += 1
+                self._engine_batched_queries += len(pending)
+                self._engine_query_seconds += elapsed
+                for (key, _), answer in zip(pending, group_answers):
+                    self._cache_put(key, answer)
+            for (_, positions), answer in zip(pending, group_answers):
                 for position in positions:
                     answers[position] = answer
         seconds = time.perf_counter() - started
-        self._hits += hits
-        self._misses += misses
         mismatches: List[Tuple[RlcQuery, bool]] = []
         if verify:
             for query, answer in zip(batch, answers):
@@ -285,7 +311,7 @@ class QueryService:
             engine_name=self._engine.name,
             answers=[bool(answer) for answer in answers],
             seconds=seconds,
-            cache_hits=hits,
+            cache_hits=len(batch) - misses,
             cache_misses=misses,
             batches=batches,
             mismatches=mismatches,
@@ -295,14 +321,8 @@ class QueryService:
     # Cache management
     # ------------------------------------------------------------------
 
-    def _cache_lookup(self, key: CacheKey) -> Optional[bool]:
-        """The cached answer for ``key`` (refreshing its recency), or None."""
-        answer = self._cache.get(key)
-        if answer is not None:
-            self._cache.move_to_end(key)
-        return answer
-
     def _cache_put(self, key: CacheKey, answer: bool) -> None:
+        """Cache ``answer``, evicting the oldest; the caller holds the lock."""
         if self._cache_size == 0:
             return
         self._cache[key] = answer
@@ -318,8 +338,9 @@ class QueryService:
         re-prepared (and re-validated against the engine's current
         label universe) on next use.
         """
-        self._cache.clear()
-        self._prepared.clear()
+        with self._lock:
+            self._cache.clear()
+            self._prepared.clear()
 
     @property
     def cache_len(self) -> int:
@@ -327,21 +348,26 @@ class QueryService:
         return len(self._cache)
 
     def counters(self) -> Dict[str, float]:
-        """Cumulative service counters plus the engine's own stats."""
-        stats: EngineStats = self._engine.stats()
-        served = self._hits + self._misses
-        values: Dict[str, float] = {
-            "cache_hits": self._hits,
-            "cache_misses": self._misses,
-            "hit_rate": self._hits / served if served else 0.0,
-            "cache_len": len(self._cache),
-            "prepared_constraints": len(
-                {prepared.digest for prepared in self._prepared.values()}
-            ),
-        }
-        for name, value in stats.as_dict().items():
-            values[f"engine_{name}"] = value
-        return values
+        """A consistent snapshot of the service's cumulative counters.
+
+        ``engine_*`` counts what this service sent to its engine (point
+        misses, ``query_batch`` calls and their queries, evaluation
+        time), plus the engine's own ``prepare_seconds``.
+        """
+        with self._lock:
+            served = self._hits + self._misses
+            return {
+                "cache_hits": self._hits,
+                "cache_misses": self._misses,
+                "hit_rate": self._hits / served if served else 0.0,
+                "cache_len": len(self._cache),
+                "prepared_constraints": len(self._prepared),
+                "engine_prepare_seconds": self._engine.prepare_seconds,
+                "engine_queries": self._engine_queries,
+                "engine_batches": self._engine_batches,
+                "engine_batched_queries": self._engine_batched_queries,
+                "engine_query_seconds": self._engine_query_seconds,
+            }
 
     def __repr__(self) -> str:
         return (

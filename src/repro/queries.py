@@ -173,23 +173,29 @@ def _is_integer(value) -> bool:
     return True
 
 
-def validate_build_options(k, *, time_budget=None, max_entries=None) -> None:
-    """Reject an index build's ``k`` and budgets of the wrong type or range.
+def validate_build_options(k, *, time_budget=None, max_entries=None, **toggles) -> None:
+    """Reject an index build's ``k``, budgets and toggles of the wrong type.
 
     Engine-spec values arrive from text (``"rlc?k=x"``), so a wrong type
-    must fail here as a :class:`QueryError` rather than as a
-    ``TypeError`` inside the build.  ``k`` is an integer >= 1,
-    ``time_budget`` a real number of seconds or ``None`` and
-    ``max_entries`` an integer or ``None``; bools are refused for all
-    three.
+    must fail here as a :class:`QueryError`, not as a ``TypeError``
+    inside the build or as a silently different build.  ``k`` is an
+    integer >= 1, ``time_budget`` a real number of seconds (not NaN) or
+    ``None`` and ``max_entries`` an integer or ``None``; bools are
+    refused for all three.  Each of ``toggles`` (``use_pr1`` ...) is a
+    bool or the integer 0 or 1.
     """
     if not _is_integer(k) or k < 1:
         raise QueryError(f"recursive k must be an integer >= 1, got {k!r}")
     if time_budget is not None and (
-        isinstance(time_budget, bool) or not isinstance(time_budget, numbers.Real)
+        isinstance(time_budget, bool)
+        or not isinstance(time_budget, numbers.Real)
+        or time_budget != time_budget
     ):
         raise QueryError(
             f"time_budget must be a number of seconds or None, got {time_budget!r}"
         )
+    for name, value in toggles.items():
+        if not isinstance(value, int) or value not in (0, 1):
+            raise QueryError(f"{name} must be a bool (or 0/1), got {value!r}")
     if max_entries is not None and not _is_integer(max_entries):
         raise QueryError(f"max_entries must be an integer or None, got {max_entries!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -37,7 +38,7 @@ def get(server, path):
         return response.status, json.loads(response.read())
 
 
-def post(server, path, payload):
+def post(server, path, payload, timeout=10):
     request = urllib.request.Request(
         server.url + path,
         data=json.dumps(payload).encode("utf-8"),
@@ -45,7 +46,7 @@ def post(server, path, payload):
         method="POST",
     )
     try:
-        with urllib.request.urlopen(request, timeout=10) as response:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
@@ -329,3 +330,63 @@ class TestBatchEndpoint:
         status, body = post(server, "/batch", payload)
         assert status == 400
         assert "error" in body
+
+
+class TestConcurrentRequests:
+    """The server holds no lock of its own: requests run side by side."""
+
+    def test_query_answers_while_a_batch_is_in_flight(
+        self, server, workload, monkeypatch
+    ):
+        engine = server.session.engine()
+        entered, release = threading.Event(), threading.Event()
+        real = engine.query_batch
+
+        def stalled(queries):
+            entered.set()
+            release.wait(10)
+            return real(queries)
+
+        monkeypatch.setattr(engine, "query_batch", stalled)
+        first, *rest = workload
+        responses = []
+        sender = threading.Thread(
+            target=lambda: responses.append(
+                post(
+                    server,
+                    "/batch",
+                    {
+                        "queries": [
+                            {
+                                "source": q.source,
+                                "target": q.target,
+                                "labels": list(q.labels),
+                                "expected": q.expected,
+                            }
+                            for q in rest
+                        ]
+                    },
+                )
+            )
+        )
+        sender.start()
+        try:
+            assert entered.wait(10), "the batch never reached the engine"
+            status, body = post(
+                server,
+                "/query",
+                {
+                    "source": first.source,
+                    "target": first.target,
+                    "labels": list(first.labels),
+                },
+                timeout=2,
+            )
+        finally:
+            release.set()
+            sender.join(10)
+        assert status == 200
+        assert body["answer"] == first.expected
+        assert body["cached"] is False
+        [(batch_status, report)] = responses
+        assert batch_status == 200 and report["ok"]

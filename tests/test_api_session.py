@@ -313,3 +313,19 @@ class TestEndpointIds:
         with pytest.raises(QueryError, match="unknown source"):
             NfaBfs(fig2).query(True, 5, self.LABELS)
         assert NfaBfs(fig2).query(np.int64(2), 5, self.LABELS) is True
+
+
+class TestLabelSpellings:
+    """A warm prepared memo accepts exactly the labels a cold one does."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_float_and_bool_labels_raise(self, fig2, warm):
+        session = Session(fig2)
+        if warm:
+            assert session.query(2, 5, (1, 0)) is True
+        # 1.0 and True hash and compare equal to 1, so a memo keyed on
+        # the label tuple alone would answer for them.
+        for bad in ((1.0, 0), (True, 0)):
+            with pytest.raises(QueryError):
+                session.query(2, 5, bad)
+        assert session.query(2, 5, (np.int64(1), 0)) is True

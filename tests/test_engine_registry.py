@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine import (
     EngineBase,
+    QueryService,
     RlcIndexEngine,
     available_engines,
     create_engine,
@@ -113,6 +114,10 @@ class TestSpecs:
             "etc?k=x",
             "etc?max_entries=abc",
             "etc?max_entries=2.5",
+            "rlc?use_pr1=no",
+            "rlc?use_pr2=off",
+            "rlc?use_pr3=2",
+            "rlc?time_budget=nan",
         ],
     )
     def test_wrongly_typed_spec_values_rejected(self, spec, fig2):
@@ -148,19 +153,20 @@ class TestEngineLifecycle:
     def test_prepare_returns_self_and_times_itself(self, fig2):
         engine = RlcIndexEngine(k=2)
         assert engine.prepare(fig2) is engine
-        assert engine.stats().prepare_seconds > 0
+        assert engine.prepare_seconds > 0
 
     def test_counters_accumulate(self, fig2):
-        engine = create_engine("bfs", fig2)
+        # The engine keeps no counters; its service counts what it sends.
+        service = QueryService(create_engine("bfs", fig2), cache_size=0)
         query = RlcQuery(2, 5, (1, 0))
-        engine.query_prepared(query.labels, query.source, query.target)
-        engine.query_batch([query, query])
-        stats = engine.stats()
-        assert stats.queries == 1
-        assert stats.batches == 1
-        assert stats.batched_queries == 2
-        assert stats.query_seconds > 0
-        assert stats.as_dict()["queries"] == 1
+        service.query(query.source, query.target, query.labels)
+        service.run([query, query])
+        counters = service.counters()
+        assert counters["engine_queries"] == 1
+        assert counters["engine_batches"] == 1
+        assert counters["engine_batched_queries"] == 2
+        assert counters["engine_query_seconds"] > 0
+        assert counters["engine_prepare_seconds"] > 0
 
     def test_from_index_wraps_without_prepare(self, fig2_index):
         engine = RlcIndexEngine.from_index(fig2_index)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import Session
 from repro.engine import QueryService, RlcIndexEngine, ServiceReport, create_engine
+from repro.graph import generators
 from repro.errors import EngineError
 from repro.queries import RlcQuery
 from repro.workloads import generate_workload
@@ -56,20 +60,22 @@ class TestRun:
 
     def test_duplicate_queries_execute_once_per_run(self, engine):
         query = RlcQuery(2, 5, (1, 0), expected=True)
-        report = QueryService(engine).run([query] * 6)
+        service = QueryService(engine)
+        report = service.run([query] * 6)
         assert report.ok and report.answers == [True] * 6
         # All six count as misses (nothing was cached) but the engine
         # evaluated the distinct key only once.
         assert report.cache_misses == 6
-        assert engine.stats().batched_queries == 1
+        assert service.counters()["engine_batched_queries"] == 1
 
     def test_cache_disabled_runs_every_duplicate(self, engine):
         # cache_size=0 means "measure raw engine execution": in-flight
         # dedup is off too, so all six occurrences reach the engine.
         query = RlcQuery(2, 5, (1, 0), expected=True)
-        report = QueryService(engine, cache_size=0).run([query] * 6)
+        service = QueryService(engine, cache_size=0)
+        report = service.run([query] * 6)
         assert report.ok and report.answers == [True] * 6
-        assert engine.stats().batched_queries == 6
+        assert service.counters()["engine_batched_queries"] == 6
 
     def test_short_batch_answers_rejected(self, engine, workload, monkeypatch):
         real = engine.query_batch
@@ -176,19 +182,16 @@ class TestAcrossEngines:
             next(workload.batched(0))
 
 
-def _run_concurrently(engine, workloads, **service_options):
-    """Run one workload per thread, each through its own service.
+def _run_concurrently(services, workloads):
+    """Run ``workloads[i]`` through ``services[i]``, one thread each.
 
-    The services share ``engine``: engines are read-only after
-    ``prepare()``, so only their locked counters see contention.
-    Reports come back in workload order.
+    Pass one service several times to share it across threads.  Reports
+    come back in workload order.
     """
     with ThreadPoolExecutor(max_workers=len(workloads)) as pool:
         futures = [
-            pool.submit(
-                QueryService(engine, **service_options).run, workload, verify=False
-            )
-            for workload in workloads
+            pool.submit(service.run, workload, verify=False)
+            for service, workload in zip(services, workloads)
         ]
         return [future.result() for future in futures]
 
@@ -197,8 +200,10 @@ class TestConcurrency:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_concurrent_run_matches_serial(self, fig2, workload, threads):
         serial = QueryService(create_engine("bfs", fig2), cache_size=0).run(workload)
+        engine = create_engine("bfs", fig2)
         reports = _run_concurrently(
-            create_engine("bfs", fig2), [workload] * threads, cache_size=0
+            [QueryService(engine, cache_size=0) for _ in range(threads)],
+            [workload] * threads,
         )
         assert serial.ok
         for report in reports:
@@ -206,22 +211,100 @@ class TestConcurrency:
             assert report.batches == serial.batches
 
     def test_concurrent_run_shares_one_engine_and_counts_exactly(self, fig2):
-        engine = create_engine("bfs", fig2)
+        service = QueryService(create_engine("bfs", fig2), cache_size=0)
         queries = [
             RlcQuery(source, target, (1, 0))
             for source in range(fig2.num_vertices)
             for target in range(fig2.num_vertices)
         ]
-        reports = _run_concurrently(engine, [queries] * 4, cache_size=0)
+        reports = _run_concurrently([service] * 4, [queries] * 4)
         assert all(report.total == len(queries) for report in reports)
-        # The locked counters lose no updates across threads.
-        stats = engine.stats()
-        assert stats.batched_queries == 4 * len(queries)
-        assert stats.batches == sum(report.batches for report in reports)
+        # The service's locked counters lose no updates across threads.
+        counters = service.counters()
+        assert counters["engine_batched_queries"] == 4 * len(queries)
+        assert counters["engine_batches"] == sum(report.batches for report in reports)
+        assert counters["cache_misses"] == 4 * len(queries)
 
     def test_concurrent_duplicates_still_collapse(self, engine):
         query = RlcQuery(2, 5, (1, 0), expected=True)
-        reports = _run_concurrently(engine, [[query] * 10] * 4)
+        services = [QueryService(engine) for _ in range(4)]
+        reports = _run_concurrently(services, [[query] * 10] * 4)
         assert all(report.answers == [True] * 10 for report in reports)
         # Each run evaluates its duplicated query once.
-        assert engine.stats().batched_queries == 4
+        assert [s.counters()["engine_batched_queries"] for s in services] == [1] * 4
+
+
+class TestSharedSessionStress:
+    """The concurrency contract: threads share one Session, nothing else.
+
+    Eight threads mix point queries with a 20-query ``run`` every 50
+    calls against one session, with the interpreter switching threads
+    every microsecond.  Every answer must match the ``bfs`` engine and
+    the service counters must account for every query exactly.
+    """
+
+    THREADS = 8
+    CALLS = 400
+    RUN_EVERY = 50
+    RUN_SIZE = 20
+
+    @pytest.fixture(scope="class")
+    def graph_and_pool(self):
+        graph = generators.labeled_erdos_renyi(80, 3, 3, seed=5)
+        workload = generate_workload(graph, 2, num_true=60, num_false=60, seed=3)
+        oracle = create_engine("bfs", graph)
+        answers = oracle.query_batch(list(workload))
+        pool = [
+            RlcQuery(q.source, q.target, q.labels, expected=answer)
+            for q, answer in zip(workload, answers)
+        ]
+        return graph, pool
+
+    def _client(self, session, pool, seed):
+        rng = random.Random(seed)
+        # Every thread's first call names a spec no thread has built yet.
+        first = rng.choice(pool)
+        session.query_outcome(
+            first.source, first.target, first.labels, engine="bibfs"
+        )
+        for call in range(1, self.CALLS + 1):
+            query = rng.choice(pool)
+            outcome = session.query_outcome(query.source, query.target, query.labels)
+            assert outcome.answer == query.expected, query
+            if call % self.RUN_EVERY == 0:
+                report = session.run(rng.sample(pool, self.RUN_SIZE))
+                assert report.ok and report.total == self.RUN_SIZE
+
+    @pytest.mark.parametrize("cache_size", [0, 16])
+    def test_threads_sharing_a_session_hold_the_contract(
+        self, graph_and_pool, cache_size
+    ):
+        graph, pool = graph_and_pool
+        session = Session(graph, cache_size=cache_size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=self.THREADS) as executor:
+                futures = [
+                    executor.submit(self._client, session, pool, seed)
+                    for seed in range(self.THREADS)
+                ]
+                for future in futures:
+                    future.result()
+        finally:
+            sys.setswitchinterval(interval)
+        points = self.THREADS * self.CALLS
+        batched = self.THREADS * (self.CALLS // self.RUN_EVERY) * self.RUN_SIZE
+        sent = points + batched
+        # One bibfs engine, built once, however many threads asked first.
+        assert session.engine_specs() == ("bibfs", "rlc-index")
+        stats = session.stats()
+        bibfs = stats["bibfs"]
+        assert bibfs["cache_hits"] + bibfs["cache_misses"] == self.THREADS
+        counters = stats["rlc-index"]
+        assert counters["cache_hits"] + counters["cache_misses"] == sent
+        assert counters["cache_len"] <= cache_size
+        if cache_size == 0:
+            assert counters["cache_misses"] == sent
+            assert counters["engine_queries"] == points
+            assert counters["engine_batched_queries"] == batched

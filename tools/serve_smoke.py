@@ -8,6 +8,10 @@ and ``/batch``, and asserts every HTTP answer matches the
 that a repeated ``/query`` is served from the result cache, that the
 ``rlc`` alias reuses the default engine instead of building a second
 one, and that the flag of the removed on-disk result store is rejected.
+A concurrent phase then sends ``/query`` from four threads while a
+fifth sends ``/batch``: every answer must still match, and the change
+in ``cache_hits + cache_misses`` on ``/stats`` must equal the number
+of queries sent.
 Run from the repository root::
 
     PYTHONPATH=src python tools/serve_smoke.py
@@ -29,6 +33,7 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -39,6 +44,11 @@ from repro.graph.io import write_edge_list  # noqa: E402
 from repro.workloads import generate_workload  # noqa: E402
 
 STARTUP_TIMEOUT = 60.0
+
+#: Threads sending /query during the concurrent phase (one more sends /batch).
+QUERY_THREADS = 4
+#: Times the /batch thread replays the whole workload.
+BATCH_ROUNDS = 5
 
 
 def free_port() -> int:
@@ -73,6 +83,51 @@ def wait_for_health(url: str, process: subprocess.Popen) -> dict:
         except (urllib.error.URLError, ConnectionError):
             time.sleep(0.2)
     raise RuntimeError(f"server not healthy within {STARTUP_TIMEOUT}s")
+
+
+def query_payload(query) -> dict:
+    return {
+        "source": query.source,
+        "target": query.target,
+        "labels": list(query.labels),
+    }
+
+
+def concurrent_phase(url: str, queries: list, expected: list) -> None:
+    """/query from QUERY_THREADS threads while one thread sends /batch."""
+
+    def point_client(offset: int) -> int:
+        order = queries[offset:] + queries[:offset]
+        answers = expected[offset:] + expected[:offset]
+        for query, answer in zip(order, answers):
+            body = post(url + "/query", query_payload(query))
+            assert body["answer"] == answer, f"/query {query}: {body}"
+        return len(order)
+
+    def batch_client() -> int:
+        payload = {"queries": [query_payload(query) for query in queries]}
+        for _ in range(BATCH_ROUNDS):
+            assert post(url + "/batch", payload)["answers"] == expected
+        return BATCH_ROUNDS * len(queries)
+
+    def served() -> int:
+        counters = get(url + "/stats")["services"]["rlc-index"]
+        return counters["cache_hits"] + counters["cache_misses"]
+
+    before = served()
+    step = max(len(queries) // QUERY_THREADS, 1)
+    with ThreadPoolExecutor(max_workers=QUERY_THREADS + 1) as pool:
+        futures = [pool.submit(batch_client)] + [
+            pool.submit(point_client, thread * step)
+            for thread in range(QUERY_THREADS)
+        ]
+        sent = sum(future.result() for future in futures)
+    counted = served() - before
+    assert counted == sent, f"/stats counted {counted} of {sent} queries"
+    print(
+        f"concurrent ok: {QUERY_THREADS} /query threads and one /batch "
+        f"thread, {sent} queries, all answers match, counters exact"
+    )
 
 
 def main() -> int:
@@ -119,14 +174,7 @@ def main() -> int:
 
             mismatches = 0
             for query in workload:
-                body = post(
-                    url + "/query",
-                    {
-                        "source": query.source,
-                        "target": query.target,
-                        "labels": list(query.labels),
-                    },
-                )
+                body = post(url + "/query", query_payload(query))
                 direct = engine.query_prepared(
                     query.labels, query.source, query.target
                 ).answer
@@ -140,11 +188,7 @@ def main() -> int:
             assert mismatches == 0, f"{mismatches} /query answers disagreed"
             print(f"/query ok: {len(list(workload))} answers match rlc-index")
 
-            repeat = {
-                "source": sample.source,
-                "target": sample.target,
-                "labels": list(sample.labels),
-            }
+            repeat = query_payload(sample)
             again = post(url + "/query", repeat)
             assert again["cached"] is True, again
             aliased = post(url + "/query", dict(repeat, engine="rlc"))
@@ -158,25 +202,23 @@ def main() -> int:
                 url + "/batch",
                 {
                     "queries": [
-                        {
-                            "source": q.source,
-                            "target": q.target,
-                            "labels": list(q.labels),
-                            "expected": expected,
-                        }
+                        dict(query_payload(q), expected=expected)
                         for q, expected in workload.labeled_queries()
                     ]
                 },
             )
             assert batch["ok"] is True, batch
-            assert batch["answers"] == [
+            direct = [
                 engine.query_prepared(q.labels, q.source, q.target).answer
                 for q in workload
             ]
+            assert batch["answers"] == direct
             print(
                 f"/batch ok: {batch['total']} queries, "
                 f"{batch['mismatches']} mismatches"
             )
+
+            concurrent_phase(url, list(workload), direct)
         except Exception:
             process.terminate()
             _, stderr = process.communicate(timeout=15)
