@@ -55,10 +55,14 @@ DEFAULT_ENGINE = "rlc-index"
 
 
 def _spec_key(spec: str, options: Dict[str, object]) -> str:
-    """String identity of *(spec, explicit options)* in the service memo."""
+    """String identity of *(spec, explicit options)* in the service memo.
+
+    Values are rendered with ``repr``, so ``k="2"`` and ``k=2`` are
+    different keys: the first must reach the constructor's check.
+    """
     if not options:
         return spec
-    rendered = "&".join(f"{key}={options[key]}" for key in sorted(options))
+    rendered = "&".join(f"{key}={options[key]!r}" for key in sorted(options))
     return f"{spec}#{rendered}"
 
 

@@ -14,10 +14,10 @@ The paper compares the RLC index against:
 The three online traversals and the simulated Table V systems of
 :mod:`repro.baselines.simulated` are one family: each defines only its
 product-search loop, ``evaluate(source, target, nfa)``, and shares
-``query(source, target, labels)``, ``query_star`` and ``query_regex``
-(a parsed expression or its text) with the others.  ETC answers
-``query`` and ``query_star`` from its closure.  Batched execution
-lives one layer up, in :meth:`repro.engine.EngineBase.query_batch`.
+``query(source, target, labels)`` and ``query_regex`` (a parsed
+expression or its text) with the others.  ETC answers ``query`` from
+its closure.  Batched execution lives one layer up, in
+:meth:`repro.engine.EngineBase.query_batch`.
 """
 
 from repro.baselines.bfs import NfaBfs, evaluate_nfa_bfs

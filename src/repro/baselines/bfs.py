@@ -79,12 +79,6 @@ class _NfaTraversal:
         label_tuple = validate_rlc_query(self._graph, source, target, labels)
         return self.evaluate(source, target, constraint_automaton(label_tuple))
 
-    def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Evaluate ``(source, target, labels*)`` (reduces to Kleene plus)."""
-        if source == target:
-            return True
-        return self.query(source, target, labels)
-
     def query_regex(
         self, source: int, target: int, expression: Union[Regex, str]
     ) -> bool:

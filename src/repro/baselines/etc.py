@@ -193,12 +193,6 @@ class ExtendedTransitiveClosure:
         entry = self._closure.get((source, target))
         return entry is not None and mr in entry
 
-    def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Evaluate ``(source, target, labels*)`` (reduces to Kleene plus)."""
-        if source == target:
-            return True
-        return self.query(source, target, labels)
-
     def minimum_repeats(self, source: int, target: int) -> FrozenSet[Mr]:
         """The concise set ``S_k(source, target)`` (Definition 2)."""
         return self._closure.get((source, target), frozenset())

@@ -20,8 +20,10 @@ Commands:
   or dataset name;
 - ``dataset NAME -o GRAPH`` — materialize a Table III stand-in.
 
-All query execution goes through the :mod:`repro.api` session facade
-(which itself drives :mod:`repro.engine` by registry name/spec) — the
+``run``, ``bench`` and ``serve`` execute queries through the
+:mod:`repro.api` session facade (which itself drives
+:mod:`repro.engine` by registry name/spec); ``query`` answers from the
+saved index itself (``RlcIndex.query`` or ``query_star``).  The
 commands here are thin argument parsers, never per-engine branching.
 Graph files may be text edge lists (``source label target`` per line)
 or ``.npz`` archives written by this tool.

@@ -191,34 +191,26 @@ class RlcIndex:
         return self.query_mr(source, target, mr)
 
     def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Kleene-star variant: true when ``source == target`` (empty path)."""
-        if source == target and self.has_vertex(source):
+        """Kleene-star variant: validated as :meth:`query`, then true when
+        ``source == target`` (the empty path), else the Kleene plus.
+        """
+        mr = validate_rlc_query(self, source, target, labels, k=self._k)
+        if source == target:
             return True
-        return self.query(source, target, labels)
+        return self.query_mr(source, target, mr)
 
     def query_batch(self, queries: Sequence[RlcQuery]) -> List[bool]:
-        """Batched Algorithm 1: validate each distinct constraint once.
+        """:meth:`query` for each query of a batch, in input order.
 
-        Every query then costs one :meth:`query_mr` hub probe instead of
-        full validation; answers match :meth:`query` element-wise,
-        errors included.
+        Batched validation is the engine layer's job
+        (:meth:`repro.engine.EngineBase.query_batch`).
         """
-        validated: Dict[Tuple[int, ...], Mr] = {}
-        answers: List[bool] = []
-        for query in queries:
-            mr = validated.get(query.labels)
-            if mr is None:
-                mr = validate_rlc_query(
-                    self, query.source, query.target, query.labels, k=self._k
-                )
-                validated[query.labels] = mr
-            answers.append(self.query_mr(query.source, query.target, mr))
-        return answers
+        return [self.query(q.source, q.target, q.labels) for q in queries]
 
     def query_mr(self, source: int, target: int, mr: Mr) -> bool:
         """Point query for an **already-validated** primitive constraint.
 
-        The evaluation behind :meth:`query`, :meth:`query_batch` and
+        The evaluation behind :meth:`query`, :meth:`query_star` and
         :class:`repro.engine.RlcIndexEngine`: endpoints are
         bounds-checked here (cheap), but ``mr`` must already be the
         validated minimum repeat — callers amortize that through

@@ -23,10 +23,11 @@ threads may share it.  Per-query counters live in its ``QueryService``.
 An adapter supplies exactly two hooks: ``_prepare(graph)`` builds its
 backend, and ``_evaluate(backend, prepared, source, target) -> bool``
 answers one query whose constraint and endpoints are already
-validated.  Everything else lives here, once: :meth:`~EngineBase.prepare_query`
-validates a constraint against the engine's label universe and
-recursive bound; :meth:`~EngineBase.query_prepared` checks the
-endpoints and calls ``_evaluate``; :meth:`~EngineBase.query_batch`
+validated.  Everything else lives here, once, and applies the rules of
+:mod:`repro.queries`: :meth:`~EngineBase.prepare_query` validates a
+constraint against the engine's label universe and recursive bound;
+:meth:`~EngineBase.query_prepared` checks the endpoints and calls
+``_evaluate``; :meth:`~EngineBase.query_batch`
 prepares each distinct constraint of a batch once and calls
 ``_evaluate`` per query.  A one-off point query is
 ``engine.query_prepared(labels, source, target).answer``: it prepares
@@ -50,16 +51,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.automata.compile import constraint_automaton
 from repro.automata.nfa import Nfa
-from repro.errors import (
-    CapabilityError,
-    EngineError,
-    NonPrimitiveConstraintError,
-    QueryError,
-)
+from repro.errors import CapabilityError, EngineError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.labels.minimum_repeat import is_primitive
 from repro.labels.sequences import format_constraint
-from repro.queries import RlcQuery, validate_constraint_labels, vertex_id
+from repro.queries import (
+    RlcQuery,
+    checked_vertex,
+    plain_labels,
+    validate_constraint_labels,
+)
 
 __all__ = [
     "EngineBase",
@@ -80,12 +80,13 @@ ConstraintLike = Union["PreparedQuery", Sequence[int], RlcQuery]
 class PreparedQuery:
     """An RLC constraint validated once, reusable across queries and engines.
 
-    :meth:`EngineBase.prepare_query` builds these after checking the
-    labels against the engine's label universe and recursive bound; the
-    derived artifacts — the cyclic constraint automaton and the stable
-    cache digest — are computed lazily and memoized, so engines that
-    never need one (the RLC index answers without an NFA) never pay for
-    it.  Prepared queries are equal (and hash) by their normalized
+    Construction validates the labels against a universe of
+    ``num_labels`` labels (:func:`repro.queries.validate_constraint_labels`);
+    :meth:`EngineBase.prepare_query` also checks the engine's recursive
+    bound.  The derived artifacts — the cyclic constraint automaton and
+    the stable cache digest — are computed lazily and memoized, so
+    engines that never need one (the RLC index answers without an NFA)
+    never pay for it.  Prepared queries are equal (and hash) by their normalized
     label tuple.
     """
 
@@ -105,42 +106,10 @@ class PreparedQuery:
         num_labels: int,
         engine: str = "",
     ) -> None:
-        labels = tuple(int(label) for label in labels)
-        # The structural half of the constraint contract is enforced
-        # here, not just in prepare_query: a hand-built PreparedQuery
-        # smuggling a non-primitive sequence would make engines
-        # silently disagree (the index probes a key that can never be
-        # stored; the traversals would happily run the NFA).  The
-        # label-universe half stays with the engines, which know their
-        # graphs.
-        if not labels:
-            raise QueryError("RLC constraint must contain at least one label")
-        if min(labels) < 0:
-            raise QueryError(
-                f"unknown label id: {min(labels)} in constraint "
-                f"{format_constraint(labels)}; label ids are non-negative"
-            )
-        if not is_primitive(labels):
-            raise NonPrimitiveConstraintError(
-                f"constraint {format_constraint(labels)} is not a "
-                "minimum repeat; RLC queries require L = MR(L)"
-            )
-        self._bind(labels, int(num_labels), engine)
-
-    @classmethod
-    def _validated(
-        cls, labels: Tuple[int, ...], num_labels: int, engine: str
-    ) -> "PreparedQuery":
-        """Wrap labels :meth:`EngineBase.prepare_query` already validated."""
-        prepared = cls.__new__(cls)
-        prepared._bind(labels, num_labels, engine)
-        return prepared
-
-    def _bind(self, labels: Tuple[int, ...], num_labels: int, engine: str) -> None:
-        self.labels: Tuple[int, ...] = labels
+        self.labels = validate_constraint_labels(num_labels, labels)
         self.num_labels = num_labels
         self.engine = engine
-        self._max_label = max(labels)
+        self._max_label = max(self.labels)
         self._nfa: Optional[Nfa] = None
         self._digest: Optional[str] = None
 
@@ -357,9 +326,8 @@ class EngineBase:
         else:
             if isinstance(constraint, RlcQuery):
                 constraint = constraint.labels
-            labels = validate_constraint_labels(surface, constraint)
-            prepared = PreparedQuery._validated(
-                labels, surface.num_labels, self.name
+            prepared = PreparedQuery(
+                constraint, num_labels=surface.num_labels, engine=self.name
             )
         k = self._k
         if k is not None and len(prepared.labels) > k:
@@ -389,12 +357,8 @@ class EngineBase:
         backend = self.backend  # raises before the clock starts
         prepared = self.prepare_query(prepared)
         surface = self._graph if self._graph is not None else backend
-        source = vertex_id(source, "source")
-        target = vertex_id(target, "target")
-        if not surface.has_vertex(source):
-            raise QueryError(f"unknown source vertex: {source}")
-        if not surface.has_vertex(target):
-            raise QueryError(f"unknown target vertex: {target}")
+        source = checked_vertex(surface, source, "source")
+        target = checked_vertex(surface, target, "target")
         started = time.perf_counter()
         answer = bool(self._evaluate(backend, prepared, source, target))
         elapsed = time.perf_counter() - started
@@ -416,27 +380,23 @@ class EngineBase:
     def query_batch(self, queries: Sequence[RlcQuery]) -> List[bool]:
         """Answer a batch of queries, preserving input order.
 
-        Each distinct constraint is prepared once per batch; every
+        Each distinct constraint is prepared once per batch (a memo hit
+        counts only under :func:`repro.queries.plain_labels`); every
         query then costs an endpoint check and one ``_evaluate`` call.
         A malformed query raises the error its point query would.
         """
         backend = self.backend
         surface = self._graph if self._graph is not None else backend
-        has_vertex = surface.has_vertex
         evaluate = self._evaluate
         prepared_for: Dict[Tuple[int, ...], PreparedQuery] = {}
         answers: List[bool] = []
         for query in queries:
-            prepared = prepared_for.get(query.labels)
-            if prepared is None:
-                prepared = self.prepare_query(query.labels)
-                prepared_for[query.labels] = prepared
-            source = vertex_id(query.source, "source")
-            target = vertex_id(query.target, "target")
-            if not has_vertex(source):
-                raise QueryError(f"unknown source vertex: {source}")
-            if not has_vertex(target):
-                raise QueryError(f"unknown target vertex: {target}")
+            labels = query.labels
+            prepared = prepared_for.get(labels)
+            if prepared is None or not plain_labels(labels):
+                prepared = prepared_for[labels] = self.prepare_query(labels)
+            source = checked_vertex(surface, query.source, "source")
+            target = checked_vertex(surface, query.target, "target")
             answers.append(bool(evaluate(backend, prepared, source, target)))
         return answers
 

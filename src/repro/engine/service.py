@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.base import EngineBase, PreparedQuery, QueryOutcome
 from repro.errors import EngineError
-from repro.queries import RlcQuery, vertex_id
+from repro.queries import RlcQuery, plain_labels, vertex_id
 
 __all__ = ["QueryService", "ServiceReport"]
 
@@ -158,18 +158,14 @@ class QueryService:
 
         The service-level face of the prepared lifecycle: repeated
         calls with the same (or equivalently spelled) constraint return
-        the same object, whose digest keys the result cache.  Only
-        plain ``int`` labels hit the memo (``1.0 == True == 1``); the
-        engine validates any other spelling.
+        the same object, whose digest keys the result cache.  A memo hit
+        counts only under :func:`repro.queries.plain_labels`; the engine
+        validates any other spelling.
         """
         key = tuple(labels)
         prepared = self._prepared.get(key)
-        if prepared is not None:
-            for label in key:
-                if type(label) is not int:
-                    break
-            else:
-                return prepared
+        if prepared is not None and plain_labels(key):
+            return prepared
         prepared = self._engine.prepare_query(key)
         with self._lock:
             if len(self._prepared) >= _PREPARED_MEMO_LIMIT:

@@ -6,10 +6,16 @@ an edge-labeled digraph where ``L`` is a *primitive* label sequence
 is true iff some path from ``s`` to ``t`` has label sequence ``L^z``
 for some ``z >= 1``.
 
-:class:`RlcQuery` is the value object used across the library;
-:func:`validate_rlc_query` centralizes the error taxonomy (unknown or
-non-integer vertices, empty constraints, non-primitive constraints,
-constraints longer than an index's ``k``).
+:class:`RlcQuery` is the value object used across the library.  This
+module is the one owner of the query rules; every index, traversal,
+engine and service calls it rather than re-deriving them:
+
+- :func:`validate_constraint_labels` — a constraint's labels (integer
+  ids of the label universe, non-empty, primitive, ``|L| <= k``);
+- :func:`checked_vertex` — one endpoint (an integer vertex of the graph);
+- :func:`validate_rlc_query` — both, for a whole query;
+- :func:`plain_labels` — whether a memo keyed on a label tuple may
+  reuse an earlier validation for a new spelling of it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from repro.labels.sequences import format_constraint
 
 __all__ = [
     "RlcQuery",
+    "checked_vertex",
+    "plain_labels",
     "validate_build_options",
     "validate_constraint_labels",
     "validate_rlc_query",
@@ -81,24 +89,53 @@ def vertex_id(vertex, role: str) -> int:
     return int(vertex)
 
 
+def checked_vertex(graph, vertex, role: str) -> int:
+    """An endpoint as a plain ``int`` vertex of ``graph``; ``role`` names it.
+
+    Runs :func:`vertex_id`, then ``graph.has_vertex`` (a graph or an
+    :class:`~repro.core.index.RlcIndex`); a vertex outside it raises
+    :class:`QueryError`.
+    """
+    if type(vertex) is not int:
+        vertex = vertex_id(vertex, role)
+    if not graph.has_vertex(vertex):
+        raise QueryError(f"unknown {role} vertex: {vertex}")
+    return vertex
+
+
+def plain_labels(labels: Sequence) -> bool:
+    """Whether every label is a plain ``int``: the memo rule.
+
+    ``1.0``, ``True`` and ``np.int64(1)`` hash and compare equal to
+    ``1``, so a memo keyed on label tuples would hand a validation of
+    ``(1, 0)`` to ``(1.0, 0)``, which the rules reject.  A memo hit
+    counts only when this holds; other spellings are validated afresh.
+    """
+    for label in labels:
+        if type(label) is not int:
+            return False
+    return True
+
+
 def validate_constraint_labels(
-    graph: EdgeLabeledDigraph,
+    num_labels: int,
     labels: Sequence[int],
     *,
     k: Optional[int] = None,
 ) -> Tuple[int, ...]:
     """Validate a constraint's labels alone, returning the label tuple.
 
-    The constraint half of :func:`validate_rlc_query` — everything that
-    depends only on the label sequence and the graph's label universe,
-    nothing on the endpoints.  This is what
-    :meth:`repro.engine.EngineBase.prepare_query` pays **once** per
-    prepared constraint; error messages name the offending label and
-    the constraint so a malformed workload entry is identifiable from
-    the message alone.
+    The constraint half of :func:`validate_rlc_query`: everything that
+    depends only on the label sequence and the size ``num_labels`` of
+    the label universe (valid ids ``0..num_labels - 1``), nothing on
+    the endpoints.  Building a
+    :class:`~repro.engine.PreparedQuery` pays this **once** per
+    constraint; error messages name the offending label and the
+    constraint so a malformed workload entry is identifiable from the
+    message alone.
 
     Raises:
-        QueryError: empty constraint, unknown labels.
+        QueryError: empty constraint, unknown or non-integer labels.
         NonPrimitiveConstraintError: ``L != MR(L)`` (out of scope per
             Section III-B — it adds an even-path-style length constraint).
         CapabilityError: ``|L| > k`` for the supplied index bound.
@@ -106,7 +143,6 @@ def validate_constraint_labels(
     raw_labels = tuple(labels)
     if not raw_labels:
         raise QueryError("RLC constraint must contain at least one label")
-    num_labels = graph.num_labels
     for label in raw_labels:
         # Accept any integral type (numpy-loaded workloads carry
         # np.int64 labels) but reject bools, which are Integral too.
@@ -148,6 +184,9 @@ def validate_rlc_query(
 ) -> Tuple[int, ...]:
     """Validate an RLC query, returning the label tuple.
 
+    :func:`checked_vertex` on both endpoints, then
+    :func:`validate_constraint_labels` against ``graph.num_labels``.
+
     Raises:
         QueryError: unknown or non-integer vertices, empty constraint,
             unknown labels.
@@ -155,11 +194,9 @@ def validate_rlc_query(
             Section III-B — it adds an even-path-style length constraint).
         CapabilityError: ``|L| > k`` for the supplied index bound.
     """
-    if not graph.has_vertex(vertex_id(source, "source")):
-        raise QueryError(f"unknown source vertex: {source}")
-    if not graph.has_vertex(vertex_id(target, "target")):
-        raise QueryError(f"unknown target vertex: {target}")
-    return validate_constraint_labels(graph, labels, k=k)
+    checked_vertex(graph, source, "source")
+    checked_vertex(graph, target, "target")
+    return validate_constraint_labels(graph.num_labels, labels, k=k)
 
 
 def _is_integer(value) -> bool:

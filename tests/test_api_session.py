@@ -9,7 +9,14 @@ import pytest
 
 import repro
 from repro.api import Session, open_session
-from repro.engine import QueryService, RlcIndexEngine, create_engine, engine_names
+from repro.core import build_rlc_index
+from repro.engine import (
+    PreparedQuery,
+    QueryService,
+    RlcIndexEngine,
+    create_engine,
+    engine_names,
+)
 from repro.errors import EngineError, GraphError, QueryError
 from repro.graph import generators
 from repro.graph.generators import paper_figure2
@@ -103,6 +110,18 @@ class TestEngineMemoization:
         assert session.query_outcome(2, 5, (1, 0), engine="rlc").cached is False
         assert session.query_outcome(2, 5, (1, 0), engine="rlc-index", k=2).cached
         assert session.stats()["rlc"]["cache_hits"] == 1
+
+    def test_string_option_is_not_the_int_option(self, fig2):
+        # "2" == 2 once both are rendered with str; the memo must not
+        # hand the k=2 engine to an option its constructor rejects.
+        session = Session(fig2)
+        with pytest.raises(QueryError, match="recursive k"):
+            session.engine("rlc", k="2")
+        session.engine("rlc", k=2)
+        with pytest.raises(QueryError, match="recursive k"):
+            session.engine("rlc", k="2")
+        with pytest.raises(QueryError, match="recursive k"):
+            session.query(2, 5, (1, 0), engine="rlc", k="2")
 
     def test_unknown_option_still_names_the_spec(self, fig2):
         from repro.errors import EngineOptionError
@@ -316,7 +335,7 @@ class TestEndpointIds:
 
 
 class TestLabelSpellings:
-    """A warm prepared memo accepts exactly the labels a cold one does."""
+    """Every entry point, cold or warm, accepts the spellings the rules do."""
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_float_and_bool_labels_raise(self, fig2, warm):
@@ -329,3 +348,83 @@ class TestLabelSpellings:
             with pytest.raises(QueryError):
                 session.query(2, 5, bad)
         assert session.query(2, 5, (np.int64(1), 0)) is True
+
+    GOOD = (1, 0)  # (v3, v6, (l2 l1)+) is true on Fig. 2
+    BAD_LABELS = ((1.0, 0), (True, 0), ("1", 0), (1.5, 0))
+    BAD_VERTICES = (True, 2.0, -1, 6)  # Fig. 2 has vertices 0..5
+
+    ENTRY_POINTS = (
+        "PreparedQuery",
+        "RlcIndex.query",
+        "RlcIndex.query_batch",
+        "RlcIndex.query_star",
+        "Session.query",
+        *(f"query_prepared:{name}" for name in engine_names()),
+        *(f"query_batch:{name}" for name in engine_names()),
+    )
+
+    @classmethod
+    def _asker(cls, entry, graph, warm):
+        """``ask(source, target, labels)`` through ``entry``.
+
+        ``warm`` first answers the good query; a batched entry point
+        gets it in the same batch, ahead of the asked query.  The
+        ``PreparedQuery`` entry has no endpoints: it "answers" True
+        when the labels normalize to ``GOOD``.
+        """
+        kind, _, engine_name = entry.partition(":")
+        lead = [RlcQuery(2, 5, cls.GOOD)] if warm else []
+
+        def batch(source, target, labels):
+            return lead + [RlcQuery(source, target, labels)]
+
+        if kind == "PreparedQuery":
+            def ask(source, target, labels):
+                prepared = PreparedQuery(labels, num_labels=graph.num_labels)
+                return prepared.labels == cls.GOOD
+        elif kind == "RlcIndex.query_batch":
+            index = build_rlc_index(graph, 2)
+
+            def ask(source, target, labels):
+                return index.query_batch(batch(source, target, labels))[-1]
+        elif kind.startswith("RlcIndex."):
+            ask = getattr(build_rlc_index(graph, 2), kind.split(".")[1])
+        elif kind == "Session.query":
+            ask = Session(graph).query
+        elif kind == "query_prepared":
+            engine = create_engine(engine_name, graph)
+
+            def ask(source, target, labels):
+                return engine.query_prepared(labels, source, target).answer
+        else:
+            engine = create_engine(engine_name, graph)
+
+            def ask(source, target, labels):
+                return engine.query_batch(batch(source, target, labels))[-1]
+        if warm and not kind.endswith("query_batch"):
+            assert ask(2, 5, cls.GOOD) is True
+        return ask
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_label_spellings_agree_on_every_entry_point(self, fig2, entry, warm):
+        ask = self._asker(entry, fig2, warm)
+        for bad in self.BAD_LABELS:
+            # Equal endpoints: a star's empty path must not answer first.
+            with pytest.raises(QueryError, match="unknown label id"):
+                ask(5, 5, bad)
+        assert ask(2, 5, (np.int64(1), np.int64(0))) is True
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS[1:])  # PreparedQuery has none
+    def test_endpoint_spellings_agree_on_every_entry_point(self, fig2, entry, warm):
+        ask = self._asker(entry, fig2, warm)
+        for bad in self.BAD_VERTICES:
+            for source, target, role in (
+                (bad, 5, "source"),
+                (2, bad, "target"),
+                (bad, bad, "source"),
+            ):
+                with pytest.raises(QueryError, match=f"unknown {role} vertex"):
+                    ask(source, target, self.GOOD)
+        assert ask(np.int64(2), np.int64(5), self.GOOD) is True

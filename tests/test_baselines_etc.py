@@ -69,10 +69,6 @@ class TestSemantics:
         # Q3(v1, v3, (l1)+) = false.
         assert not fig2_etc.query(0, 2, (0,))
 
-    def test_query_star(self, fig2_etc):
-        assert fig2_etc.query_star(0, 0, (0,))
-        assert fig2_etc.query_star(2, 5, (1, 0))
-
     def test_k_property(self, fig2_etc):
         assert fig2_etc.k == 2
 

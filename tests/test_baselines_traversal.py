@@ -64,13 +64,6 @@ class TestSemantics:
     def test_source_equals_target_plus_requires_cycle(self, engine_cls, cycle):
         assert not engine_cls(cycle).query(0, 0, (0,))
 
-    def test_star_with_equal_endpoints(self, engine_cls, cycle):
-        assert engine_cls(cycle).query_star(0, 0, (0,))
-
-    def test_star_distinct_endpoints_same_as_plus(self, engine_cls, cycle):
-        assert engine_cls(cycle).query_star(0, 1, (0,)) is True
-        assert engine_cls(cycle).query_star(0, 1, (1,)) is False
-
     def test_validation_errors(self, engine_cls, cycle):
         engine = engine_cls(cycle)
         with pytest.raises(QueryError):

@@ -46,6 +46,9 @@ class TestBuildAndQuery:
         main(["build", str(fig2_file), "-o", str(index_path)])
         capsys.readouterr()
         assert main(["query", str(index_path), "5", "5", "l1*"]) == 0
+        # The empty path answers only a constraint the rules accept.
+        assert main(["query", str(index_path), "1", "1", "(7)*"]) == 2
+        assert "unknown label id: 7" in capsys.readouterr().err
 
     def test_query_integer_labels(self, fig2_file, tmp_path, capsys):
         index_path = tmp_path / "fig2.npz"
