@@ -350,8 +350,18 @@ class TestLabelSpellings:
         assert session.query(2, 5, (np.int64(1), 0)) is True
 
     GOOD = (1, 0)  # (v3, v6, (l2 l1)+) is true on Fig. 2
-    BAD_LABELS = ((1.0, 0), (True, 0), ("1", 0), (1.5, 0))
-    BAD_VERTICES = (True, 2.0, -1, 6)  # Fig. 2 has vertices 0..5
+    BAD_LABELS = {
+        "float": (1.0, 0),
+        "bool": (True, 0),
+        "str": ("1", 0),
+        "fraction": (1.5, 0),
+    }
+    BAD_VERTICES = {  # Fig. 2 has vertices 0..5
+        "bool": True,
+        "float": 2.0,
+        "negative": -1,
+        "past-end": 6,
+    }
 
     ENTRY_POINTS = (
         "PreparedQuery",
@@ -405,26 +415,36 @@ class TestLabelSpellings:
             assert ask(2, 5, cls.GOOD) is True
         return ask
 
+    @pytest.mark.parametrize("spelling", BAD_LABELS)
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_label_spellings_agree_on_every_entry_point(self, fig2, entry, warm):
+    def test_label_spellings_agree_on_every_entry_point(
+        self, fig2, entry, warm, spelling
+    ):
         ask = self._asker(entry, fig2, warm)
-        for bad in self.BAD_LABELS:
-            # Equal endpoints: a star's empty path must not answer first.
-            with pytest.raises(QueryError, match="unknown label id"):
-                ask(5, 5, bad)
-        assert ask(2, 5, (np.int64(1), np.int64(0))) is True
+        # Equal endpoints: a star's empty path must not answer first.
+        with pytest.raises(QueryError, match="unknown label id"):
+            ask(5, 5, self.BAD_LABELS[spelling])
 
+    @pytest.mark.parametrize("spelling", BAD_VERTICES)
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("entry", ENTRY_POINTS[1:])  # PreparedQuery has none
-    def test_endpoint_spellings_agree_on_every_entry_point(self, fig2, entry, warm):
+    def test_endpoint_spellings_agree_on_every_entry_point(
+        self, fig2, entry, warm, spelling
+    ):
         ask = self._asker(entry, fig2, warm)
-        for bad in self.BAD_VERTICES:
-            for source, target, role in (
-                (bad, 5, "source"),
-                (2, bad, "target"),
-                (bad, bad, "source"),
-            ):
-                with pytest.raises(QueryError, match=f"unknown {role} vertex"):
-                    ask(source, target, self.GOOD)
+        bad = self.BAD_VERTICES[spelling]
+        for source, target, role in (
+            (bad, 5, "source"),
+            (2, bad, "target"),
+            (bad, bad, "source"),
+        ):
+            with pytest.raises(QueryError, match=f"unknown {role} vertex"):
+                ask(source, target, self.GOOD)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_spellings_answer_on_every_entry_point(self, fig2, entry, warm):
+        ask = self._asker(entry, fig2, warm)
+        assert ask(2, 5, (np.int64(1), np.int64(0))) is True
         assert ask(np.int64(2), np.int64(5), self.GOOD) is True

@@ -64,6 +64,15 @@ class TestSemantics:
     def test_source_equals_target_plus_requires_cycle(self, engine_cls, cycle):
         assert not engine_cls(cycle).query(0, 0, (0,))
 
+    def test_star_with_equal_endpoints(self, engine_cls, cycle):
+        # A star matches the empty path, which a plus never does.
+        assert engine_cls(cycle).query_regex(0, 0, "0*")
+
+    def test_star_distinct_endpoints_same_as_plus(self, engine_cls, cycle):
+        engine = engine_cls(cycle)
+        assert engine.query_regex(0, 1, "0*") is engine.query(0, 1, (0,)) is True
+        assert engine.query_regex(0, 1, "1*") is engine.query(0, 1, (1,)) is False
+
     def test_validation_errors(self, engine_cls, cycle):
         engine = engine_cls(cycle)
         with pytest.raises(QueryError):
