@@ -1,12 +1,15 @@
 """Golden builds: the index and its counters, entry for entry.
 
 EP at k=2 and WN at k=3, at ``scale=0.1``, the two builds of the
-``build`` benchmark workload shrunk to a fraction of a second.  Every
-``BuildStats`` counter except ``seconds`` is pinned, together with the
-entry counts, the size model and a SHA-256 over every entry.  A change
-to the builder or to the entry store that claims to keep the index
-identical must leave all of them unchanged; a change that means to alter
-the index updates these values and says why.
+``build`` benchmark workload shrunk to a fraction of a second, plus the
+variants every builder branch takes: EP k=2 with each pruning rule off
+and with all three off, and the lazy strategy on WN k=2 at
+``scale=0.05`` (lazy EP at 0.1 takes seconds).  Every ``BuildStats``
+counter except ``seconds`` is pinned, together with the entry counts,
+the size model and a SHA-256 over every entry.  A change to the builder
+or to the entry store that claims to keep the index identical must
+leave all of them unchanged; a change that means to alter the index
+updates these values and says why.
 """
 
 from __future__ import annotations
@@ -18,8 +21,19 @@ import pytest
 from repro.core import build_rlc_index
 from repro.graph.datasets import load_dataset
 
+#: case id -> (dataset, scale, k, builder options)
+CASES = {
+    "EP-k2": ("EP", 0.1, 2, {}),
+    "WN-k3": ("WN", 0.1, 3, {}),
+    "EP-k2-no-pr1": ("EP", 0.1, 2, {"use_pr1": False}),
+    "EP-k2-no-pr2": ("EP", 0.1, 2, {"use_pr2": False}),
+    "EP-k2-no-pr3": ("EP", 0.1, 2, {"use_pr3": False}),
+    "EP-k2-no-pruning": ("EP", 0.1, 2, {"use_pr1": False, "use_pr2": False, "use_pr3": False}),
+    "WN-k2-lazy": ("WN", 0.05, 2, {"strategy": "lazy"}),
+}
+
 GOLDEN = {
-    ("EP", 2): {
+    "EP-k2": {
         "stats": {
             "kernel_searches": 300,
             "kernel_bfs_runs": 3839,
@@ -36,7 +50,7 @@ GOLDEN = {
         "size_bytes": 34548,
         "sha256": "a6cb017e8e2f3f973cf0632bc8a089fc2cdaa738eca99aaa54c39440319cebef",
     },
-    ("WN", 3): {
+    "WN-k3": {
         "stats": {
             "kernel_searches": 320,
             "kernel_bfs_runs": 8636,
@@ -53,6 +67,96 @@ GOLDEN = {
         "size_bytes": 88792,
         "sha256": "c63979ae5eee73fdf065d30f4023e50e37b197c1fb4b5902688b5cb6d1bd7e0a",
     },
+    "EP-k2-no-pr1": {
+        "stats": {
+            "kernel_searches": 300,
+            "kernel_bfs_runs": 3839,
+            "phase1_expansions": 23568,
+            "phase2_expansions": 141402,
+            "insert_attempts": 100848,
+            "inserted": 55516,
+            "duplicates": 251,
+            "pruned_pr1": 0,
+            "pruned_pr2": 45081,
+            "pr3_stops": 33336,
+        },
+        "entry_counts": (27341, 28175),
+        "size_bytes": 425862,
+        "sha256": "4b05520baf8ff51689020878ddc2b3490b8f90f8ff975cb321b07972d53ba3ee",
+        # Without PR1 the index keeps entries that other entries imply.
+        "condensed": False,
+    },
+    # PR2 off stores the same index at EP k=2: PR1 prunes what PR2 would.
+    "EP-k2-no-pr2": {
+        "stats": {
+            "kernel_searches": 300,
+            "kernel_bfs_runs": 3839,
+            "phase1_expansions": 23568,
+            "phase2_expansions": 97239,
+            "insert_attempts": 78775,
+            "inserted": 4410,
+            "duplicates": 34,
+            "pruned_pr1": 74331,
+            "pruned_pr2": 0,
+            "pr3_stops": 53191,
+        },
+        "entry_counts": (2087, 2323),
+        "size_bytes": 34548,
+        "sha256": "a6cb017e8e2f3f973cf0632bc8a089fc2cdaa738eca99aaa54c39440319cebef",
+    },
+    "EP-k2-no-pr3": {
+        "stats": {
+            "kernel_searches": 300,
+            "kernel_bfs_runs": 3839,
+            "phase1_expansions": 23568,
+            "phase2_expansions": 280402,
+            "insert_attempts": 150008,
+            "inserted": 4410,
+            "duplicates": 34,
+            "pruned_pr1": 71089,
+            "pruned_pr2": 74475,
+            "pr3_stops": 0,
+        },
+        "entry_counts": (2087, 2323),
+        "size_bytes": 34548,
+        "sha256": "a6cb017e8e2f3f973cf0632bc8a089fc2cdaa738eca99aaa54c39440319cebef",
+    },
+    "EP-k2-no-pruning": {
+        "stats": {
+            "kernel_searches": 300,
+            "kernel_bfs_runs": 3839,
+            "phase1_expansions": 23568,
+            "phase2_expansions": 280402,
+            "insert_attempts": 150008,
+            "inserted": 149506,
+            "duplicates": 502,
+            "pruned_pr1": 0,
+            "pruned_pr2": 0,
+            "pr3_stops": 0,
+        },
+        "entry_counts": (74753, 74753),
+        "size_bytes": 1146908,
+        "sha256": "2defb065917f0f379740dae568744dd7ca13d2ea0674d8080b3de81c0186a3c7",
+        # Without PR1 the index keeps entries that other entries imply.
+        "condensed": False,
+    },
+    "WN-k2-lazy": {
+        "stats": {
+            "kernel_searches": 160,
+            "kernel_bfs_runs": 647,
+            "phase1_expansions": 69288,
+            "phase2_expansions": 5834,
+            "insert_attempts": 13427,
+            "inserted": 1096,
+            "duplicates": 579,
+            "pruned_pr1": 5371,
+            "pruned_pr2": 6381,
+            "pr3_stops": 2123,
+        },
+        "entry_counts": (771, 325),
+        "size_bytes": 8469,
+        "sha256": "a86abf65a4463237a19072364e1c305b5f8cf42f67e57be66af9b8490a54c41d",
+    },
 }
 
 
@@ -65,10 +169,10 @@ def entries_digest(index) -> str:
     return hashlib.sha256(repr(entries).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module", params=sorted(GOLDEN), ids=lambda key: f"{key[0]}-k{key[1]}")
+@pytest.fixture(scope="module", params=sorted(CASES))
 def golden_build(request):
-    dataset, k = request.param
-    return build_rlc_index(load_dataset(dataset, scale=0.1), k), GOLDEN[request.param]
+    dataset, scale, k, options = CASES[request.param]
+    return build_rlc_index(load_dataset(dataset, scale=scale), k, **options), GOLDEN[request.param]
 
 
 class TestGoldenBuild:
@@ -92,5 +196,5 @@ class TestGoldenBuild:
         assert entries_digest(index) == golden["sha256"]
 
     def test_condensed(self, golden_build):
-        index, _ = golden_build
-        assert index.condensedness_violations() == []
+        index, golden = golden_build
+        assert (index.condensedness_violations() == []) == golden.get("condensed", True)
