@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import BudgetExceededError
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -79,8 +80,9 @@ class ExtendedTransitiveClosure:
         started = time.perf_counter()
         closure: Dict[Pair, Set[Mr]] = {}
         entry_count = 0
+        view = graph.label_adjacency()
         for source in range(graph.num_vertices):
-            entry_count += cls._kbs_from(graph, k, source, closure)
+            entry_count += cls._kbs_from(graph, view, k, source, closure)
             if time_budget is not None and time.perf_counter() - started > time_budget:
                 raise BudgetExceededError(
                     f"ETC build exceeded {time_budget:.1f}s "
@@ -99,11 +101,15 @@ class ExtendedTransitiveClosure:
     @staticmethod
     def _kbs_from(
         graph: EdgeLabeledDigraph,
+        view: List[List[Tuple[int, ...]]],
         k: int,
         source: int,
         closure: Dict[Pair, Set[Mr]],
     ) -> int:
-        """Forward eager KBS from ``source``; returns new-entry count."""
+        """Forward eager KBS from ``source``; returns new-entry count.
+
+        ``view`` is ``graph.label_adjacency()``, taken once per build.
+        """
         added = 0
         kernels: Dict[Mr, Set[int]] = {}
         seen_paths: Set[Tuple[int, Tuple[int, ...]]] = set()
@@ -130,33 +136,28 @@ class ExtendedTransitiveClosure:
         # Phase 2 — kernel BFS: continue each kernel candidate L from
         # its frontier, consuming L cyclically; record an entry at every
         # newly reached copy boundary.  Each (vertex, phase) pair is
-        # visited once, so the search terminates on any graph.
-        for kernel, frontier in kernels.items():
+        # visited once, so the search terminates on any graph.  The
+        # search is level-synchronous: one frontier moves round the
+        # phases, a step being one union of the view's neighbour tuples.
+        for kernel, boundary in kernels.items():
             m = len(kernel)
-            visited = [set() for _ in range(m)]
-            boundary = visited[0]
-            boundary.update(frontier)
-            bfs_queue = deque((vertex, 0) for vertex in frontier)
-            while bfs_queue:
-                vertex, phase = bfs_queue.popleft()
-                next_phase = phase + 1
-                if next_phase == m:
-                    for neighbor in graph.out_neighbors(vertex, kernel[phase]):
-                        if neighbor in boundary:
-                            continue
-                        boundary.add(neighbor)
+            rows = [view[label] for label in kernel]
+            visited = [boundary] + [set() for _ in range(m - 1)]
+            frontier: Iterable[int] = boundary
+            phase = 0
+            while frontier:
+                step = rows[phase]
+                reached = set(chain.from_iterable(map(step.__getitem__, frontier)))
+                phase = (phase + 1) % m
+                reached -= visited[phase]
+                visited[phase] |= reached
+                if phase == 0:
+                    for neighbor in reached:
                         bucket = closure.setdefault((source, neighbor), set())
                         if kernel not in bucket:
                             bucket.add(kernel)
                             added += 1
-                        bfs_queue.append((neighbor, 0))
-                else:
-                    seen = visited[next_phase]
-                    for neighbor in graph.out_neighbors(vertex, kernel[phase]):
-                        if neighbor in seen:
-                            continue
-                        seen.add(neighbor)
-                        bfs_queue.append((neighbor, next_phase))
+                frontier = reached
         return added
 
     # ------------------------------------------------------------------

@@ -88,7 +88,8 @@ def _cmd_build(args) -> int:
     )
     print(
         f"pruning: PR1 {stats.pruned_pr1}, PR2 {stats.pruned_pr2}, "
-        f"PR3 stops {stats.pr3_stops}, duplicates {stats.duplicates}"
+        f"PR3 stops {stats.pr3_stops}, duplicates {stats.duplicates}; "
+        f"phase 1 {stats.phase1_seconds:.2f}s, phase 2 {stats.phase2_seconds:.2f}s"
     )
     return 0
 

@@ -21,14 +21,34 @@ whenever a copy completes, an index entry is attempted at the boundary
 vertex.  Each ``(vertex, i)`` pair is expanded at most once, so the
 search terminates on arbitrary cyclic graphs in ``O(|E| * |L|)``.
 
+Both phases move sets of vertices: phase 1 keeps the set of endpoints
+of each sequence, phase 2 one frontier per step, and a step is one
+union of the neighbour tuples of the graph's label-major view
+(:meth:`~repro.graph.EdgeLabeledDigraph.label_adjacency`).
+
 **Pruning rules.**
 
 - PR1: skip an entry whose reachability the current index snapshot
   already answers (``Query(s, t, L+)`` is true);
 - PR2: skip entries at vertices with a smaller access id than the
   search origin (their own searches already ran);
-- PR3: when a kernel-BFS insert at a copy boundary is pruned by PR1 or
-  PR2, do not expand past that vertex.
+- PR3: when a kernel-BFS insert at a copy boundary is not stored (a
+  duplicate, or pruned by PR1 or PR2), do not expand past that vertex.
+
+One object per search, :class:`_Inserter`, applies the insert rule for
+both phases.
+
+**Order inside a search.**  Within one search the order of visits
+cannot change the index or any counter.  An attempt at vertex ``y`` for
+minimum repeat ``L`` reads only ``y``'s hub list for ``L`` on the side
+the search writes and the origin's list on the other side; no insert of
+the search writes the origin's side, and only an insert at ``(y, L)``
+writes ``y``'s list.  So each ``(y, L)`` pair's first attempt has the
+same outcome in any order, and every later attempt at it is a
+duplicate (after a store) or pruned again the same way.  The states a
+kernel BFS reaches follow from those outcomes alone.  Across origins
+the order matters -- PR1 reads what earlier origins stored -- and the
+build keeps it.
 
 Note: the paper's printed pseudocode stops
 the kernel-BFS when the insert *succeeds*; its prose (PR3, Example 6)
@@ -41,10 +61,10 @@ which our tests validate against brute force exhaustively.
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.index import BuildStats, RlcIndex, hubs_answer
+from repro.core.index import BuildStats, RlcIndex
 from repro.core.ordering import compute_order
 from repro.errors import BudgetExceededError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -115,6 +135,8 @@ class RlcIndexBuilder:
         self._aid: List[int] = [0] * n
         self._out_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
         self._in_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
+        self._order: List[int] = []
+        self._done: Set[int] = set()
         self.stats = BuildStats()
 
     # ------------------------------------------------------------------
@@ -122,12 +144,19 @@ class RlcIndexBuilder:
     def build(self) -> RlcIndex:
         """Run Algorithm 2 and return the finished index."""
         started = time.perf_counter()
-        order = compute_order(self._graph, self._ordering, seed=self._seed)
+        graph = self._graph
+        order = compute_order(graph, self._ordering, seed=self._seed)
         for position, vertex in enumerate(order):
             self._aid[vertex] = position + 1
+        self._order = order
+        backward = _Direction(graph, backward=True)
+        forward = _Direction(graph, backward=False)
+        mr_of: Dict[Tuple[int, ...], Mr] = {}
         for position, vertex in enumerate(order):
-            self._kernel_based_search(vertex, backward=True)
-            self._kernel_based_search(vertex, backward=False)
+            self._kernel_based_search(vertex, backward, mr_of)
+            self._kernel_based_search(vertex, forward, mr_of)
+            # PR2 prunes the vertices whose searches already ran.
+            self._done.add(vertex)
             if (
                 self._time_budget is not None
                 and time.perf_counter() - started > self._time_budget
@@ -139,213 +168,309 @@ class RlcIndexBuilder:
         self.stats.seconds = time.perf_counter() - started
         return RlcIndex(
             k=self._k,
-            num_vertices=self._graph.num_vertices,
-            num_labels=self._graph.num_labels,
+            num_vertices=graph.num_vertices,
+            num_labels=graph.num_labels,
             order=order,
             out_by_mr=self._out_by_mr,
             in_by_mr=self._in_by_mr,
             build_stats=self.stats,
-            label_dictionary=self._graph.label_dictionary,
+            label_dictionary=graph.label_dictionary,
         )
 
     # ------------------------------------------------------------------
     # Kernel-based search
     # ------------------------------------------------------------------
 
-    def _kernel_based_search(self, origin: int, *, backward: bool) -> None:
-        self.stats.kernel_searches += 1
-        if self._strategy == "eager":
-            kernels = self._eager_kernel_search(origin, backward=backward)
+    def _kernel_based_search(
+        self, origin: int, direction: "_Direction", mr_of: Dict[Tuple[int, ...], Mr]
+    ) -> None:
+        """One KBS from ``origin``: phase 1, then one kernel BFS per kernel.
+
+        ``mr_of`` is the build's minimum-repeat memo.
+        """
+        stats = self.stats
+        stats.kernel_searches += 1
+        # Every entry this search stores lands on the side it writes
+        # (Lout for backward), so the origin's other side -- the half of
+        # PR1's probe it supplies -- is fixed until the search ends:
+        # take it once, as sets.  Without PR1 there is nothing to probe.
+        if direction.backward:
+            written, origin_side = self._out_by_mr, self._in_by_mr[origin]
         else:
-            kernels = self._lazy_kernel_search(origin, backward=backward)
+            written, origin_side = self._in_by_mr, self._out_by_mr[origin]
+        order = self._order
+        origin_hubs: Dict[Mr, Tuple[FrozenSet[int], FrozenSet[int]]] = (
+            {
+                mr: (frozenset(hubs), frozenset([order[hub - 1] for hub in hubs]))
+                for mr, hubs in origin_side.items()
+            }
+            if self._use_pr1
+            else {}
+        )
+        insert = _Inserter(self, origin, written, origin_hubs)
+        started = time.perf_counter()
+        kernels = self._kernel_search(origin, direction, insert, mr_of)
+        searched = time.perf_counter()
+        stats.phase1_seconds += searched - started
+        stats.kernel_bfs_runs += len(kernels)
+        lazy = self._strategy == "lazy"
+        rows = direction.rows
         for kernel, seeds in kernels.items():
-            self.stats.kernel_bfs_runs += 1
-            self._kernel_bfs(origin, kernel, seeds, backward=backward)
+            # Eager seeds sit at a copy boundary; every lazy seed ends a
+            # sequence of length 2k, so it has 2k mod |kernel| labels of
+            # its copy matched.
+            start = 2 * self._k % len(kernel) if lazy else 0
+            self._kernel_bfs(kernel, seeds, start, rows(kernel), insert)
+        stats.phase2_seconds += time.perf_counter() - searched
+        insert.flush()
 
-    def _eager_kernel_search(
-        self, origin: int, *, backward: bool
-    ) -> Dict[Mr, Set[Tuple[int, int]]]:
-        """Phase 1, eager: depth <= k, kernels from every visited path.
+    def _kernel_search(
+        self,
+        origin: int,
+        direction: "_Direction",
+        insert: "_Inserter",
+        mr_of: Dict[Tuple[int, ...], Mr],
+    ) -> Dict[Mr, List[Set[int]]]:
+        """Phase 1: enumerate label sequences from ``origin``, insert, seed.
 
-        Returns ``{kernel: {(frontier_vertex, consumed_state)}}``; eager
-        frontiers always sit at a copy boundary (state 0) because a path
-        whose minimum repeat is ``L`` *is* a power of ``L``.
+        The search runs level by level over sequences, not over
+        ``(vertex, sequence)`` pairs: each level maps a sequence to the
+        set of its endpoints, and one extension by a label is the union
+        of those endpoints' neighbour tuples for it.  Each endpoint of a
+        sequence of length up to ``k`` (eager) or ``2k`` (lazy) is one
+        expansion; when the sequence's minimum repeat fits the bound,
+        the entry ``(origin, MR)`` is attempted at every endpoint.
+
+        Returns ``{kernel: seeds}``, where ``seeds[consumed]`` holds the
+        frontier vertices with ``consumed`` labels of the current copy
+        already matched.  Eager seeds are every endpoint, at state 0 of
+        its MR (a path whose minimum repeat is ``L`` *is* a power of
+        ``L``).  Lazy kernels come only from the unique kernel/tail
+        decomposition of the length-``2k`` sequences (Theorem 1, Case
+        3), mid-copy at state ``len(tail)``.
         """
-        graph = self._graph
         k = self._k
-        kernels: Dict[Mr, Set[Tuple[int, int]]] = {}
-        seen: Set[Tuple[int, Tuple[int, ...]]] = set()
-        queue: Deque[Tuple[int, Tuple[int, ...]]] = deque(((origin, ()),))
-        adjacency = graph.in_edges if backward else graph.out_edges
-        while queue:
-            vertex, sequence = queue.popleft()
-            for label, neighbor in adjacency(vertex):
-                extended = (
-                    (label,) + sequence if backward else sequence + (label,)
-                )
-                key = (neighbor, extended)
-                if key in seen:
-                    continue
-                seen.add(key)
-                self.stats.phase1_expansions += 1
-                mr = minimum_repeat(extended)
-                self._insert(neighbor, origin, mr, backward=backward)
-                kernels.setdefault(mr, set()).add((neighbor, 0))
-                if len(extended) < k:
-                    queue.append((neighbor, extended))
-        return kernels
-
-    def _lazy_kernel_search(
-        self, origin: int, *, backward: bool
-    ) -> Dict[Mr, Set[Tuple[int, int]]]:
-        """Phase 1, lazy: depth <= 2k, kernels from Theorem 1 Case 3.
-
-        Entries are inserted for every visited path whose minimum repeat
-        fits the bound (Cases 1 and 2 of Theorem 1); kernels are only
-        determined at depth exactly ``2k`` from the unique kernel/tail
-        decomposition, with the frontier vertex mid-copy (the tail gives
-        the number of labels already consumed).
-        """
-        graph = self._graph
-        k = self._k
-        depth_limit = 2 * k
-        kernels: Dict[Mr, Set[Tuple[int, int]]] = {}
-        seen: Set[Tuple[int, Tuple[int, ...]]] = set()
-        queue: Deque[Tuple[int, Tuple[int, ...]]] = deque(((origin, ()),))
-        adjacency = graph.in_edges if backward else graph.out_edges
+        lazy = self._strategy == "lazy"
+        backward = direction.backward
+        groups = direction.groups
         decompose = suffix_kernel_decomposition if backward else kernel_decomposition
-        while queue:
-            vertex, sequence = queue.popleft()
-            for label, neighbor in adjacency(vertex):
-                extended = (
-                    (label,) + sequence if backward else sequence + (label,)
-                )
-                key = (neighbor, extended)
-                if key in seen:
-                    continue
-                seen.add(key)
-                self.stats.phase1_expansions += 1
-                mr = minimum_repeat(extended)
-                if len(mr) <= k:
-                    self._insert(neighbor, origin, mr, backward=backward)
-                if len(extended) < depth_limit:
-                    queue.append((neighbor, extended))
-                    continue
-                decomposition = decompose(extended)
-                if decomposition is None:
-                    continue
-                kernel, tail = decomposition
-                if len(kernel) <= k:
-                    kernels.setdefault(kernel, set()).add((neighbor, len(tail)))
+        depth_limit = 2 * k if lazy else k
+        kernels: Dict[Mr, List[Set[int]]] = {}
+        expansions = 0
+        level: List[Tuple[Tuple[int, ...], Iterable[int]]] = [((), (origin,))]
+        for depth in range(1, depth_limit + 1):
+            deepest = depth == depth_limit
+            next_level: List[Tuple[Tuple[int, ...], Iterable[int]]] = []
+            for sequence, endpoints in level:
+                buckets: Dict[int, List[Tuple[int, ...]]] = {}
+                for vertex in endpoints:
+                    for label, neighbors in groups[vertex]:
+                        bucket = buckets.get(label)
+                        if bucket is None:
+                            buckets[label] = [neighbors]
+                        else:
+                            bucket.append(neighbors)
+                for label, parts in buckets.items():
+                    reached = set().union(*parts)
+                    expansions += len(reached)
+                    extended = (label,) + sequence if backward else sequence + (label,)
+                    mr = mr_of.get(extended)
+                    if mr is None:
+                        mr = mr_of[extended] = minimum_repeat(extended)
+                    if len(mr) <= k:
+                        insert(reached, mr)
+                        if not lazy:
+                            seeds = kernels.get(mr)
+                            if seeds is None:
+                                seeds = kernels[mr] = [set() for _ in mr]
+                            seeds[0] |= reached
+                    if not deepest:
+                        next_level.append((extended, reached))
+                    elif lazy:
+                        decomposition = decompose(extended)
+                        if decomposition is not None and len(decomposition[0]) <= k:
+                            kernel, tail = decomposition
+                            seeds = kernels.get(kernel)
+                            if seeds is None:
+                                seeds = kernels[kernel] = [set() for _ in kernel]
+                            seeds[len(tail)] |= reached
+            level = next_level
+        self.stats.phase1_expansions += expansions
         return kernels
 
     def _kernel_bfs(
         self,
-        origin: int,
         kernel: Mr,
-        seeds: Iterable[Tuple[int, int]],
-        *,
-        backward: bool,
+        seeds: List[Set[int]],
+        consumed: int,
+        adjacency: List[List[Tuple[int, ...]]],
+        insert: "_Inserter",
     ) -> None:
         """Phase 2: continue the search guided by ``(kernel)+``.
 
-        ``seeds`` are ``(vertex, consumed)`` pairs — ``consumed`` labels
-        of the current copy are already matched.  Backward searches
-        consume the kernel right-to-left (label sequences grow by
-        prepending), forward searches left-to-right.
+        ``seeds[i]`` is the visited set of state ``i`` (``i`` labels of
+        the current copy matched); phase 1 put every seed at state
+        ``consumed``.  ``adjacency[i]`` is the label-major row of the
+        label read at state ``i`` (backward searches consume the kernel
+        right-to-left).  The run is level-synchronous: one frontier
+        moves round the ``m`` states, so each step is one union of
+        neighbour tuples and one set difference, and every new vertex at
+        state 0 -- a copy boundary -- gets one insert attempt of
+        ``(origin, kernel)``.
+
+        The order of visits inside a run cannot change what it stores
+        or counts.  A boundary vertex's outcome (PR2, duplicate, PR1,
+        stored) reads only its own hub list for ``kernel`` and the
+        origin's fixed side; within the run only that vertex's own
+        insert writes its list, and ``boundary`` lets it be attempted
+        once.  So the states reached, and every counter, are the same
+        for any visit order.
         """
-        graph = self._graph
         m = len(kernel)
-        neighbors = graph.in_neighbors if backward else graph.out_neighbors
-        visited: List[Set[int]] = [set() for _ in range(m)]
-        queue: Deque[Tuple[int, int]] = deque()
-        for vertex, consumed in seeds:
-            if vertex not in visited[consumed]:
-                visited[consumed].add(vertex)
-                queue.append((vertex, consumed))
-        boundary = visited[0]
         use_pr3 = self._use_pr3
-        insert = self._insert
-        pop = queue.popleft
-        push = queue.append
-        expansions = 0
-        pr3_stops = 0
-        # The consumed -> next-label mapping is fixed per kernel; hoist
-        # it out of the loop (backward searches read the kernel
-        # right-to-left).
-        next_label = tuple(reversed(kernel)) if backward else kernel
-        while queue:
-            vertex, consumed = pop()
-            label = next_label[consumed]
-            next_consumed = consumed + 1
-            if next_consumed == m:
-                for neighbor in neighbors(vertex, label):
-                    if neighbor in boundary:
-                        continue
-                    expansions += 1
-                    inserted = insert(neighbor, origin, kernel, backward=backward)
-                    boundary.add(neighbor)
-                    if inserted or not use_pr3:
-                        push((neighbor, 0))
-                    else:
-                        pr3_stops += 1
-            else:
-                seen = visited[next_consumed]
-                for neighbor in neighbors(vertex, label):
-                    if neighbor in seen:
-                        continue
-                    expansions += 1
-                    seen.add(neighbor)
-                    push((neighbor, next_consumed))
+        boundary = seeds[0]
+        frontier: Iterable[int] = seeds[consumed]
+        expansions = pr3_stops = 0
+        while frontier:
+            step = adjacency[consumed]
+            reached = set(chain.from_iterable(map(step.__getitem__, frontier)))
+            consumed += 1
+            if consumed < m:
+                reached -= seeds[consumed]
+                seeds[consumed] |= reached
+                expansions += len(reached)
+                frontier = reached
+                continue
+            consumed = 0
+            reached -= boundary
+            boundary |= reached
+            expansions += len(reached)
+            if reached:
+                stored = insert(reached, kernel)
+                if use_pr3:
+                    pr3_stops += len(reached) - len(stored)
+                    frontier = stored
+                    continue
+            frontier = reached
         self.stats.phase2_expansions += expansions
         self.stats.pr3_stops += pr3_stops
 
-    # ------------------------------------------------------------------
-    # Entry insertion with pruning
-    # ------------------------------------------------------------------
 
-    def _insert(self, vertex: int, origin: int, mr: Mr, *, backward: bool) -> bool:
-        """Attempt to record that ``vertex`` reaches ``origin`` via ``mr+``
-        (backward) or is reached from it (forward).
+class _Direction:
+    """The graph as one kernel-based search direction reads it."""
 
-        Returns True when the entry was stored, False when it was pruned
-        (duplicate, PR1, or PR2) — the signal PR3 keys off.  Checks run
-        cheapest-first: PR2 is two array reads, the duplicate test one
-        dict probe, PR1 a snapshot query.
-        """
-        self.stats.insert_attempts += 1
-        aid = self._aid
-        origin_aid = aid[origin]
-        if self._use_pr2 and aid[vertex] < origin_aid:
-            self.stats.pruned_pr2 += 1
-            return False
-        by_mr = self._out_by_mr[vertex] if backward else self._in_by_mr[vertex]
-        hubs = by_mr.get(mr)
-        # Exact-duplicate check: the origin has the largest access id
-        # inserted so far, so a duplicate can only sit at the tail.
-        if hubs and hubs[-1] == origin_aid:
-            self.stats.duplicates += 1
-            return False
-        if self._use_pr1:
-            # PR1: Algorithm 1 on the partial index.  ``hubs`` is the
-            # vertex's own side of the probe; the origin supplies the other.
-            if backward:
-                answered = hubs_answer(
-                    hubs, self._in_by_mr[origin].get(mr), aid[vertex], origin_aid
-                )
-            else:
-                answered = hubs_answer(
-                    self._out_by_mr[origin].get(mr), hubs, origin_aid, aid[vertex]
-                )
-            if answered:
-                self.stats.pruned_pr1 += 1
-                return False
-        if hubs is None:
-            by_mr[mr] = [origin_aid]
+    __slots__ = ("view", "groups", "backward", "_rows")
+
+    def __init__(self, graph: EdgeLabeledDigraph, *, backward: bool) -> None:
+        view = graph.label_adjacency(incoming=backward)
+        #: ``view[label][vertex]``: the neighbour tuple in this direction
+        self.view = view
+        #: ``groups[vertex]``: the ``(label, neighbours)`` pairs, by label
+        self.groups = [
+            [(label, row[vertex]) for label, row in enumerate(view) if row[vertex]]
+            for vertex in range(graph.num_vertices)
+        ]
+        self.backward = backward
+        self._rows: Dict[Mr, List[List[Tuple[int, ...]]]] = {}
+
+    def rows(self, kernel: Mr) -> List[List[Tuple[int, ...]]]:
+        """``rows(kernel)[i]``: the view row of the label read at state ``i``."""
+        rows = self._rows.get(kernel)
+        if rows is None:
+            labels = reversed(kernel) if self.backward else kernel
+            rows = self._rows[kernel] = [self.view[label] for label in labels]
+        return rows
+
+
+class _Inserter:
+    """The insert rule of one kernel-based search, a set of vertices at a time.
+
+    Calling it with ``(vertices, mr)`` attempts the entry ``(origin,
+    mr)`` at each vertex and returns the list of vertices where it was
+    stored.  The checks run in this order and each attempt lands in the
+    first that applies: PR2 (the vertex's search already ran; one set
+    difference for all of them), then the exact duplicate (the origin
+    has the largest access id inserted so far, so a duplicate can only
+    sit at the tail of the hub list), then PR1, then the store.
+
+    PR1 is Algorithm 1 on the partial index (see
+    :func:`~repro.core.index.hubs_answer`).  Its case "the origin is one
+    of the vertex's hubs" is the duplicate test.  The other two read the
+    origin's side, which no insert of this search writes, so the search
+    takes it once, as ``origin_hubs[mr] = (hub access ids, hub
+    vertices)``: "the vertex is one of the origin's hubs" is then one
+    set intersection for all the vertices, and "the two lists share a
+    hub" one ``isdisjoint`` per vertex.  The intersection runs before
+    the duplicate test, which changes no count: a vertex among the
+    origin's hubs is pruned by PR1 at its first attempt, so this search
+    never stores it and it is never a duplicate.
+    """
+
+    __slots__ = (
+        "_stats", "_done", "_origin_aid", "_written", "_origin_hubs",
+        "_attempts", "_inserted", "_duplicates", "_pruned_pr1", "_pruned_pr2",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        builder: RlcIndexBuilder,
+        origin: int,
+        written: List[Dict[Mr, List[int]]],
+        origin_hubs: Dict[Mr, Tuple[FrozenSet[int], FrozenSet[int]]],
+    ) -> None:
+        self._stats = builder.stats
+        self._done = builder._done if builder._use_pr2 else None
+        self._origin_aid = builder._aid[origin]
+        self._written = written
+        self._origin_hubs = origin_hubs
+        self._attempts = self._inserted = self._duplicates = 0
+        self._pruned_pr1 = self._pruned_pr2 = 0
+
+    def __call__(self, vertices: Set[int], mr: Mr) -> List[int]:
+        self._attempts += len(vertices)
+        if self._done:
+            fresh = vertices - self._done
+            self._pruned_pr2 += len(vertices) - len(fresh)
+            vertices = fresh
+        duplicates = pruned_pr1 = 0
+        probe = self._origin_hubs.get(mr)
+        if probe is None:
+            hub_aids = None
         else:
-            hubs.append(origin_aid)
-        self.stats.inserted += 1
-        return True
+            hub_aids, hub_vertices = probe
+            answered = vertices & hub_vertices
+            if answered:
+                pruned_pr1 = len(answered)
+                vertices = vertices - answered
+        origin_aid = self._origin_aid
+        written = self._written
+        stored: List[int] = []
+        for vertex in vertices:
+            by_mr = written[vertex]
+            hubs = by_mr.get(mr)
+            if hubs and hubs[-1] == origin_aid:
+                duplicates += 1
+            elif hub_aids is not None and hubs and not hub_aids.isdisjoint(hubs):
+                pruned_pr1 += 1
+            else:
+                if hubs is None:
+                    by_mr[mr] = [origin_aid]
+                else:
+                    hubs.append(origin_aid)
+                stored.append(vertex)
+        self._duplicates += duplicates
+        self._pruned_pr1 += pruned_pr1
+        self._inserted += len(stored)
+        return stored
+
+    def flush(self) -> None:
+        """Add this search's tallies to the build's counters."""
+        stats = self._stats
+        stats.insert_attempts += self._attempts
+        stats.inserted += self._inserted
+        stats.duplicates += self._duplicates
+        stats.pruned_pr1 += self._pruned_pr1
+        stats.pruned_pr2 += self._pruned_pr2
 
 
 def build_rlc_index(

@@ -53,8 +53,16 @@ def hubs_answer(
     both ascending (``None`` or empty when there are none).  Case 2
     both ways (is the opposite endpoint itself a recorded hub?), then
     Case 1 as a sorted-list intersection, in
-    ``O(|hubs_out| + |hubs_in|)``.  Shared by :meth:`RlcIndex.query_mr`
-    and the builder's PR1 check on the partial index.
+    ``O(|hubs_out| + |hubs_in|)``.  The probe of :meth:`RlcIndex.query_mr`.
+
+    The builder's PR1 check asks the same question of the partial index
+    in a fixed-origin set form.  During one search every insert goes to
+    the side opposite the origin's own, so the origin's list is fixed
+    and taken once as sets; the case "the origin is one of the vertex's
+    hubs" is the builder's duplicate test, which runs first.  What is
+    left -- "the vertex is one of the origin's hubs, or the two lists
+    share a hub" -- is a set membership and an ``isdisjoint``, and is
+    true exactly when this function is.
     """
     if hubs_out:
         position = bisect_left(hubs_out, target_aid)
@@ -81,9 +89,17 @@ def hubs_answer(
 
 @dataclass
 class BuildStats:
-    """Counters recorded by the indexing algorithm (for the ablations)."""
+    """Counters recorded by the indexing algorithm (for the ablations).
+
+    ``seconds`` is the whole build's wall time; ``phase1_seconds`` and
+    ``phase2_seconds`` split the time spent inside the kernel searches
+    (phase 1) and their kernel-BFS runs (phase 2), so their sum is at
+    most ``seconds``.  The three are wall times; the rest are counts.
+    """
 
     seconds: float = 0.0
+    phase1_seconds: float = 0.0
+    phase2_seconds: float = 0.0
     kernel_searches: int = 0
     kernel_bfs_runs: int = 0
     phase1_expansions: int = 0
@@ -99,6 +115,8 @@ class BuildStats:
         """Flat dict view (used by the benchmark harness)."""
         return {
             "seconds": self.seconds,
+            "phase1_seconds": self.phase1_seconds,
+            "phase2_seconds": self.phase2_seconds,
             "kernel_searches": self.kernel_searches,
             "kernel_bfs_runs": self.kernel_bfs_runs,
             "phase1_expansions": self.phase1_expansions,

@@ -235,6 +235,23 @@ class EdgeLabeledDigraph:
         """Sources of edges ``s --label--> vertex`` (empty tuple if none)."""
         return self._in_by_label[vertex].get(label, _EMPTY)
 
+    def label_adjacency(self, *, incoming: bool = False) -> List[List[Tuple[int, ...]]]:
+        """A label-major view: ``view[label][vertex]`` is the tuple
+        :meth:`out_neighbors` (or, with ``incoming``, :meth:`in_neighbors`)
+        returns for ``(vertex, label)``.
+
+        Built on each call and not kept on the graph: a search that
+        reads one label per step indexes two lists instead of making a
+        method call and a dict probe.  It has ``num_labels *
+        num_vertices`` slots that share the graph's neighbour tuples.
+        """
+        view = [[_EMPTY] * self._num_vertices for _ in range(self._num_labels)]
+        by_label = self._in_by_label if incoming else self._out_by_label
+        for vertex, groups in enumerate(by_label):
+            for label, neighbors in groups.items():
+                view[label][vertex] = neighbors
+        return view
+
     def out_labels(self, vertex: int) -> Sequence[int]:
         """Distinct labels on out-edges of ``vertex``."""
         return tuple(self._out_by_label[vertex])

@@ -216,10 +216,11 @@ def validate_build_options(k, *, time_budget=None, max_entries=None, **toggles) 
     Engine-spec values arrive from text (``"rlc?k=x"``), so a wrong type
     must fail here as a :class:`QueryError`, not as a ``TypeError``
     inside the build or as a silently different build.  ``k`` is an
-    integer >= 1, ``time_budget`` a real number of seconds (not NaN) or
-    ``None`` and ``max_entries`` an integer or ``None``; bools are
-    refused for all three.  Each of ``toggles`` (``use_pr1`` ...) is a
-    bool or the integer 0 or 1.
+    integer >= 1, ``time_budget`` a real number of seconds >= 0 (not
+    NaN) or ``None`` and ``max_entries`` an integer >= 0 or ``None``;
+    bools are refused for all three.  A negative budget would only let
+    the build run one step and then fail as "exceeded".  Each of
+    ``toggles`` (``use_pr1`` ...) is a bool or the integer 0 or 1.
     """
     if not _is_integer(k) or k < 1:
         raise QueryError(f"recursive k must be an integer >= 1, got {k!r}")
@@ -227,12 +228,15 @@ def validate_build_options(k, *, time_budget=None, max_entries=None, **toggles) 
         isinstance(time_budget, bool)
         or not isinstance(time_budget, numbers.Real)
         or time_budget != time_budget
+        or time_budget < 0
     ):
         raise QueryError(
-            f"time_budget must be a number of seconds or None, got {time_budget!r}"
+            f"time_budget must be a number of seconds >= 0 or None, got {time_budget!r}"
         )
     for name, value in toggles.items():
         if not isinstance(value, int) or value not in (0, 1):
             raise QueryError(f"{name} must be a bool (or 0/1), got {value!r}")
-    if max_entries is not None and not _is_integer(max_entries):
-        raise QueryError(f"max_entries must be an integer or None, got {max_entries!r}")
+    if max_entries is not None and (not _is_integer(max_entries) or max_entries < 0):
+        raise QueryError(
+            f"max_entries must be an integer >= 0 or None, got {max_entries!r}"
+        )

@@ -56,6 +56,7 @@ class TestPruningAblations:
         )
         assert stats.kernel_searches == 2 * fig2.num_vertices
         assert stats.seconds > 0
+        assert 0 < stats.phase1_seconds + stats.phase2_seconds <= stats.seconds
         assert index.build_stats is stats
 
     def test_disabled_rules_record_zero(self, fig2):
@@ -124,6 +125,11 @@ class TestParameters:
         graph = random_graph(5, max_vertices=9, density=(2.0, 3.0))
         with pytest.raises(BudgetExceededError):
             build_rlc_index(graph, 2, time_budget=0.0)
+
+    @pytest.mark.parametrize("budget", [-1, -0.5])
+    def test_negative_time_budget_rejected(self, fig2, budget):
+        with pytest.raises(QueryError, match="must be"):
+            build_rlc_index(fig2, 2, time_budget=budget)
 
     def test_determinism(self):
         graph = random_graph(17)

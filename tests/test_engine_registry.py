@@ -118,6 +118,9 @@ class TestSpecs:
             "rlc?use_pr2=off",
             "rlc?use_pr3=2",
             "rlc?time_budget=nan",
+            "rlc?time_budget=-1",
+            "etc?time_budget=-1",
+            "etc?max_entries=-1",
         ],
     )
     def test_wrongly_typed_spec_values_rejected(self, spec, fig2):
