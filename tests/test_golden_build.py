@@ -4,7 +4,9 @@ EP at k=2 and WN at k=3, at ``scale=0.1``, the two builds of the
 ``build`` benchmark workload shrunk to a fraction of a second, plus the
 variants every builder branch takes: EP k=2 with each pruning rule off
 and with all three off, and the lazy strategy on WN k=2 at
-``scale=0.05`` (lazy EP at 0.1 takes seconds).  Every ``BuildStats``
+``scale=0.05`` (lazy EP at 0.1 takes seconds) and at k=4 on a
+12-vertex random graph, where lazy kernel-BFS seeds sit mid-copy
+(``2k mod |kernel| > 0``).  Every ``BuildStats``
 counter except the wall times is pinned, together with the entry counts,
 the size model and a SHA-256 over every entry.  A change to the builder
 or to the entry store that claims to keep the index identical must
@@ -15,21 +17,26 @@ updates these values and says why.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import pytest
 
 from repro.core import build_rlc_index
 from repro.graph.datasets import load_dataset
+from repro.graph.generators import labeled_erdos_renyi
 
-#: case id -> (dataset, scale, k, builder options)
+EP = partial(load_dataset, "EP", scale=0.1)
+
+#: case id -> (graph factory, k, builder options)
 CASES = {
-    "EP-k2": ("EP", 0.1, 2, {}),
-    "WN-k3": ("WN", 0.1, 3, {}),
-    "EP-k2-no-pr1": ("EP", 0.1, 2, {"use_pr1": False}),
-    "EP-k2-no-pr2": ("EP", 0.1, 2, {"use_pr2": False}),
-    "EP-k2-no-pr3": ("EP", 0.1, 2, {"use_pr3": False}),
-    "EP-k2-no-pruning": ("EP", 0.1, 2, {"use_pr1": False, "use_pr2": False, "use_pr3": False}),
-    "WN-k2-lazy": ("WN", 0.05, 2, {"strategy": "lazy"}),
+    "EP-k2": (EP, 2, {}),
+    "WN-k3": (partial(load_dataset, "WN", scale=0.1), 3, {}),
+    "EP-k2-no-pr1": (EP, 2, {"use_pr1": False}),
+    "EP-k2-no-pr2": (EP, 2, {"use_pr2": False}),
+    "EP-k2-no-pr3": (EP, 2, {"use_pr3": False}),
+    "EP-k2-no-pruning": (EP, 2, {"use_pr1": False, "use_pr2": False, "use_pr3": False}),
+    "WN-k2-lazy": (partial(load_dataset, "WN", scale=0.05), 2, {"strategy": "lazy"}),
+    "ER12-k4-lazy": (partial(labeled_erdos_renyi, 12, 2.0, 3, seed=1), 4, {"strategy": "lazy"}),
 }
 
 GOLDEN = {
@@ -157,6 +164,23 @@ GOLDEN = {
         "size_bytes": 8469,
         "sha256": "a86abf65a4463237a19072364e1c305b5f8cf42f67e57be66af9b8490a54c41d",
     },
+    "ER12-k4-lazy": {
+        "stats": {
+            "kernel_searches": 24,
+            "kernel_bfs_runs": 74,
+            "phase1_expansions": 3938,
+            "phase2_expansions": 412,
+            "insert_attempts": 940,
+            "inserted": 127,
+            "duplicates": 161,
+            "pruned_pr1": 228,
+            "pruned_pr2": 424,
+            "pr3_stops": 44,
+        },
+        "entry_counts": (51, 76),
+        "size_bytes": 1133,
+        "sha256": "48a2ec5095c1fb240b40f01ce7d305b3faea7b61f641a81e3de77c2701d8bc39",
+    },
 }
 
 
@@ -171,8 +195,8 @@ def entries_digest(index) -> str:
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def golden_build(request):
-    dataset, scale, k, options = CASES[request.param]
-    return build_rlc_index(load_dataset(dataset, scale=scale), k, **options), GOLDEN[request.param]
+    graph, k, options = CASES[request.param]
+    return build_rlc_index(graph(), k, **options), GOLDEN[request.param]
 
 
 class TestGoldenBuild:
