@@ -58,11 +58,12 @@ def hubs_answer(
     The builder's PR1 check asks the same question of the partial index
     in a fixed-origin set form.  During one search every insert goes to
     the side opposite the origin's own, so the origin's list is fixed
-    and taken once as sets; the case "the origin is one of the vertex's
-    hubs" is the builder's duplicate test, which runs first.  What is
-    left -- "the vertex is one of the origin's hubs, or the two lists
-    share a hub" -- is a set membership and an ``isdisjoint``, and is
-    true exactly when this function is.
+    and taken once as sets.  The case "the origin is one of the
+    vertex's hubs" is the builder's duplicate test.  What is left --
+    "the vertex is one of the origin's hubs, or the two lists share a
+    hub" -- is one set intersection over a set of vertices and one
+    ``isdisjoint`` per vertex, and is true exactly when this function
+    is.
     """
     if hubs_out:
         position = bisect_left(hubs_out, target_aid)
