@@ -63,7 +63,7 @@ from repro.core import (
 from repro.engine.base import PreparedQuery, QueryOutcome
 from repro.api import ReplayServer, Session, open_session
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "BudgetExceededError",
