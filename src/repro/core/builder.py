@@ -316,15 +316,11 @@ class RlcIndexBuilder:
         moves round the ``m`` states, so each step is one union of
         neighbour tuples and one set difference, and every new vertex at
         state 0 -- a copy boundary -- gets one insert attempt of
-        ``(origin, kernel)``.
-
-        The order of visits inside a run cannot change what it stores
-        or counts.  A boundary vertex's outcome (PR2, duplicate, PR1,
-        stored) reads only its own hub list for ``kernel`` and the
-        origin's fixed side; within the run only that vertex's own
-        insert writes its list, and ``boundary`` lets it be attempted
-        once.  So the states reached, and every counter, are the same
-        for any visit order.
+        ``(origin, kernel)``.  That visit order stores and counts exactly
+        what any other would (module docstring, "Order inside a
+        search"): a boundary vertex's outcome reads only its own hub
+        list for ``kernel`` and the origin's fixed side, and
+        ``boundary`` lets it be attempted once.
         """
         m = len(kernel)
         use_pr3 = self._use_pr3
