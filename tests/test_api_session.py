@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import warnings
 
 import numpy as np
@@ -122,6 +123,26 @@ class TestEngineMemoization:
             session.engine("rlc", k="2")
         with pytest.raises(QueryError, match="recursive k"):
             session.query(2, 5, (1, 0), engine="rlc", k="2")
+
+    def test_build_ends_with_one_full_collection(self, fig2):
+        # The new index's containers must not leave the collector a full
+        # pass to run during the queries that follow the build.
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        session = Session(fig2)
+        gc.callbacks.append(record)
+        try:
+            session.engine()
+            built = list(generations)
+            session.engine("rlc")
+        finally:
+            gc.callbacks.remove(record)
+        assert built and built[-1] == 2
+        assert generations == built  # a memo hit builds and collects nothing
 
     def test_unknown_option_still_names_the_spec(self, fig2):
         from repro.errors import EngineOptionError
