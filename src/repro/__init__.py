@@ -49,7 +49,7 @@ from repro.labels import (
     kernel_decomposition,
     minimum_repeat,
 )
-from repro.queries import RlcQuery, validate_rlc_query
+from repro.queries import QueryOutcome, RlcQuery, validate_rlc_query
 from repro.automata import Nfa, compile_regex, constraint_automaton, parse_regex
 from repro.baselines import ExtendedTransitiveClosure, NfaBfs, NfaBiBfs, NfaDfs
 from repro.core import (
@@ -60,10 +60,10 @@ from repro.core import (
     build_rlc_index,
     find_witness_path,
 )
-from repro.engine.base import PreparedQuery, QueryOutcome
-from repro.api import ReplayServer, Session, open_session
+from repro.engine.base import PreparedQuery
+from repro.api import ReplayServer, Session
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "BudgetExceededError",
@@ -100,7 +100,6 @@ __all__ = [
     "is_primitive",
     "kernel_decomposition",
     "minimum_repeat",
-    "open_session",
     "parse_regex",
     "validate_rlc_query",
     "__version__",

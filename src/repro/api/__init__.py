@@ -4,11 +4,12 @@ This package is the front door of the library — the ROADMAP's serving
 lifecycle (build-once/query-many, exactly the deployment model the
 reachability-indexing literature assumes) captured in two pieces:
 
-- :class:`Session` (:func:`open_session`) — owns a graph, prepares
+- :class:`Session` — owns a graph, prepares
   engines lazily by registry spec, serves ``query`` / ``run`` /
   ``explain`` through one cached, batched service per engine;
 - :class:`ReplayServer` — the stdlib HTTP JSON endpoint behind
-  ``repro serve`` (``/query``, ``/batch``, ``/stats``, ``/healthz``).
+  ``repro serve`` (``/query``, ``/prepare``, ``/batch``, ``/stats``,
+  ``/healthz``).
 
 Quickstart::
 
@@ -20,10 +21,9 @@ Quickstart::
 """
 
 from repro.api.server import ReplayServer
-from repro.api.session import Session, open_session
+from repro.api.session import Session
 
 __all__ = [
     "ReplayServer",
     "Session",
-    "open_session",
 ]

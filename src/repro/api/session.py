@@ -28,6 +28,10 @@ semantics.
 Threads may share a session: a new spec's engine is built once, under
 the session's lock, and per-query state lives in each service.  A build
 ends with one full garbage collection (see :meth:`Session.service`).
+
+Each part of an answer has one owner: the engine answers a bool, the
+service wraps it in a :class:`~repro.queries.QueryOutcome`, and the
+session, which owns the graph, attaches witness paths.
 """
 
 from __future__ import annotations
@@ -38,17 +42,18 @@ import os
 import threading
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.engine.base import EngineBase, PreparedQuery, QueryOutcome
+from repro.core.witness import find_witness_path
+from repro.engine.base import EngineBase, PreparedQuery
 from repro.engine.registry import create_engine, resolve_engine_spec
 from repro.engine.service import QueryService, ServiceReport
 from repro.errors import EngineError, GraphError
 from repro.graph import datasets
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.graph.io import load_graph
-from repro.queries import RlcQuery
+from repro.queries import QueryOutcome, RlcQuery
 from repro.workloads import load_workload
 
-__all__ = ["Session", "open_session"]
+__all__ = ["Session"]
 
 PathLike = Union[str, os.PathLike]
 GraphSource = Union[EdgeLabeledDigraph, str, os.PathLike]
@@ -194,6 +199,7 @@ class Session:
 
     @property
     def graph(self) -> EdgeLabeledDigraph:
+        """The session's graph (raises when it adopted a graphless engine)."""
         if self._graph is None:
             raise EngineError(
                 "this session adopted a prepared engine and has no graph"
@@ -207,6 +213,7 @@ class Session:
 
     @property
     def default_engine_spec(self) -> str:
+        """The engine spec a call uses when it names none."""
         return self._default_spec
 
     @property
@@ -321,13 +328,32 @@ class Session:
         """Answer one query with full provenance (through the cache).
 
         The structured face of :meth:`query`: the returned
-        :class:`~repro.engine.QueryOutcome` carries the answer, the
-        engine id, whether the result cache served it, wall time, and — with ``witness=True`` on a
-        witness-ready engine — a concrete witness path.
+        :class:`~repro.queries.QueryOutcome` carries the answer, the
+        engine id, whether the result cache served it and wall time.
+        With ``witness=True`` a true answer, cached or not, also
+        carries a shortest witness path found over the session's
+        graph; a session without a graph raises
+        :class:`~repro.errors.EngineError`.
         """
-        return self.service(engine, **engine_options).query_outcome(
-            source, target, labels, witness=witness
+        outcome = self.service(engine, **engine_options).query_outcome(
+            source, target, labels
         )
+        if witness:
+            self._attach_witness(outcome)
+        return outcome
+
+    def _attach_witness(self, outcome: QueryOutcome) -> None:
+        """Set ``outcome.witness`` for a true answer (product BFS)."""
+        if self._graph is None:
+            raise EngineError(
+                f"engine {outcome.engine!r} has no bound graph to extract a "
+                "witness from (it was adopted around a prebuilt backend); "
+                "re-prepare it over the graph to enable witnesses"
+            )
+        if outcome.answer:
+            outcome.witness = find_witness_path(
+                self._graph, outcome.source, outcome.target, outcome.labels
+            )
 
     def query(
         self,
@@ -378,19 +404,17 @@ class Session:
         """Answer a query and describe *how* it was answered.
 
         Returns a plain dict (JSON-ready; the replay server exposes it
-        verbatim) built from the :class:`~repro.engine.QueryOutcome`:
+        verbatim) built from the :class:`~repro.queries.QueryOutcome`:
         the answer, the engine spec and engine id that produced it,
         whether the result cache served it, the prepared constraint's
-        digest, wall time, and — for true answers on a witness-ready engine —
-        a shortest witness path.
+        digest, wall time, and — for true answers when the session has
+        a graph — a shortest witness path.
         """
         spec = engine or self._default_spec
         service = self.service(spec, **engine_options)
-        engine_obj = service.engine
-        want_witness = bool(witness) and engine_obj.witness_ready
-        outcome = service.query_outcome(
-            source, target, labels, witness=want_witness
-        )
+        outcome = service.query_outcome(source, target, labels)
+        if witness and self._graph is not None:
+            self._attach_witness(outcome)
         explanation: Dict[str, object] = {
             "query": {
                 "source": outcome.source,
@@ -437,7 +461,3 @@ class Session:
             f"engines={len(self._named_services())}, {state})"
         )
 
-
-def open_session(source: GraphSource, **options) -> Session:
-    """Open a :class:`Session` — spelled as a function for discoverability."""
-    return Session(source, **options)

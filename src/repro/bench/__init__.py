@@ -19,17 +19,14 @@ from repro.bench.harness import (
     run_query_set,
     time_call,
 )
-from repro.bench.plotting import ascii_plot, series_from_table
 from repro.bench import experiments
 
 __all__ = [
     "TIMED_OUT",
     "ResultTable",
-    "ascii_plot",
     "experiments",
     "format_micros",
     "format_seconds",
     "run_query_set",
-    "series_from_table",
     "time_call",
 ]

@@ -452,7 +452,7 @@ def experiment_table5(
 
     def _engine_call(engine, kind, payload):
         if kind == "rlc":
-            return lambda: engine.query_prepared(payload, source, target).answer
+            return lambda: engine.query_prepared(payload, source, target)
         # Extended (concatenated-constraint) queries go straight to the
         # backend: they are regex evaluations outside the RLC contract.
         expression = " ".join(

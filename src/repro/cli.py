@@ -16,14 +16,15 @@ Commands:
   registered engine spec built over a graph file (bare names like
   ``bibfs`` or parameterized specs like ``rlc?k=3``);
 - ``serve GRAPH --engine SPEC`` — start the JSON replay server
-  (``/query``, ``/batch``, ``/stats``, ``/healthz``) over a graph file
-  or dataset name;
+  (``/query``, ``/prepare``, ``/batch``, ``/stats``, ``/healthz``) over
+  a graph file or dataset name;
 - ``dataset NAME -o GRAPH`` — materialize a Table III stand-in.
 
 ``run``, ``bench`` and ``serve`` execute queries through the
 :mod:`repro.api` session facade (which itself drives
 :mod:`repro.engine` by registry name/spec); ``query`` answers from the
-saved index itself (``RlcIndex.query`` or ``query_star``).  The
+saved index itself (``RlcIndex.query``; a Kleene-star constraint is
+also true when ``SOURCE == TARGET``, the empty path).  The
 commands here are thin argument parsers, never per-engine branching.
 Graph files may be text edge lists (``source label target`` per line)
 or ``.npz`` archives written by this tool.
@@ -109,10 +110,9 @@ def _resolve_constraint(index: RlcIndex, text: str):
 def _cmd_query(args) -> int:
     index = RlcIndex.load(args.index)
     encoded, operator = _resolve_constraint(index, args.constraint)
-    if operator == "*":
-        answer = index.query_star(args.source, args.target, encoded)
-    else:
-        answer = index.query(args.source, args.target, encoded)
+    answer = index.query(args.source, args.target, encoded) or (
+        operator == "*" and args.source == args.target
+    )
     print("true" if answer else "false")
     return 0 if answer else 1
 
@@ -252,7 +252,9 @@ def _cmd_serve(args) -> int:
     print(
         f"serving {session.name!r} with engine {args.engine!r} on {server.url}"
     )
-    print("endpoints: GET /healthz /stats, POST /query /batch; Ctrl-C stops")
+    print(
+        "endpoints: GET /healthz /stats, POST /query /prepare /batch; Ctrl-C stops"
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:

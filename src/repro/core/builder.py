@@ -131,20 +131,23 @@ class RlcIndexBuilder:
         self._seed = seed
         self._time_budget = time_budget
 
+    # ------------------------------------------------------------------
+
+    def build(self) -> RlcIndex:
+        """Run Algorithm 2 and return the finished index.
+
+        Every call starts from fresh state: a second call returns an
+        equal index over its own entry store, and ``stats`` then holds
+        that call's counters.
+        """
+        graph = self._graph
         n = graph.num_vertices
         self._aid: List[int] = [0] * n
         self._out_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
         self._in_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
-        self._order: List[int] = []
         self._done: Set[int] = set()
         self.stats = BuildStats()
-
-    # ------------------------------------------------------------------
-
-    def build(self) -> RlcIndex:
-        """Run Algorithm 2 and return the finished index."""
         started = time.perf_counter()
-        graph = self._graph
         order = compute_order(graph, self._ordering, seed=self._seed)
         for position, vertex in enumerate(order):
             self._aid[vertex] = position + 1

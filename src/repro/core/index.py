@@ -177,13 +177,16 @@ class RlcIndex:
 
     @property
     def num_vertices(self) -> int:
+        """The number of vertices of the indexed graph."""
         return self._num_vertices
 
     @property
     def num_labels(self) -> int:
+        """The size of the indexed graph's label universe."""
         return self._num_labels
 
     def has_vertex(self, vertex: int) -> bool:
+        """Whether ``vertex`` is a vertex id of the indexed graph."""
         return 0 <= vertex < self._num_vertices
 
     def access_id(self, vertex: int) -> int:
@@ -209,15 +212,6 @@ class RlcIndex:
         mr = validate_rlc_query(self, source, target, labels, k=self._k)
         return self.query_mr(source, target, mr)
 
-    def query_star(self, source: int, target: int, labels: Sequence[int]) -> bool:
-        """Kleene-star variant: validated as :meth:`query`, then true when
-        ``source == target`` (the empty path), else the Kleene plus.
-        """
-        mr = validate_rlc_query(self, source, target, labels, k=self._k)
-        if source == target:
-            return True
-        return self.query_mr(source, target, mr)
-
     def query_batch(self, queries: Sequence[RlcQuery]) -> List[bool]:
         """:meth:`query` for each query of a batch, in input order.
 
@@ -229,7 +223,7 @@ class RlcIndex:
     def query_mr(self, source: int, target: int, mr: Mr) -> bool:
         """Point query for an **already-validated** primitive constraint.
 
-        The evaluation behind :meth:`query`, :meth:`query_star` and
+        The evaluation behind :meth:`query` and
         :class:`repro.engine.RlcIndexEngine`: endpoints are
         bounds-checked here (cheap), but ``mr`` must already be the
         validated minimum repeat — callers amortize that through
@@ -295,26 +289,6 @@ class RlcIndex:
             "mean": sum(per_vertex) / len(per_vertex),
             "nonzero_vertices": sum(1 for count in per_vertex if count),
         }
-
-    def explain(self, source: int, target: int, labels: Sequence[int]) -> str:
-        """Human-readable account of how Algorithm 1 answers the query.
-
-        Returns one of: ``"case2: (t, L) in Lout(s)"``,
-        ``"case2: (s, L) in Lin(t)"``, ``"case1: common hub v<id>"``, or
-        ``"false: no entry pair"`` — with the same validation as
-        :meth:`query`.
-        """
-        mr = validate_rlc_query(self, source, target, labels, k=self._k)
-        hubs_out = self._out_by_mr[source].get(mr, ())
-        hubs_in = self._in_by_mr[target].get(mr, ())
-        if self._aid[target] in hubs_out:
-            return "case2: (t, L) in Lout(s)"
-        if self._aid[source] in hubs_in:
-            return "case2: (s, L) in Lin(t)"
-        common = set(hubs_out).intersection(hubs_in)
-        if common:
-            return f"case1: common hub v{self._order[min(common) - 1]}"
-        return "false: no entry pair"
 
     def estimated_size_bytes(self) -> int:
         """Storage model: 4 bytes per hub id + (2 + |mr|) bytes per entry.

@@ -25,11 +25,8 @@ Engines are read-only after ``prepare()``; a :class:`QueryService` keeps
 all per-query state under its own lock, so threads may share either.
 """
 
-from repro.engine.base import (
-    EngineBase,
-    PreparedQuery,
-    QueryOutcome,
-)
+from repro.engine.base import EngineBase, PreparedQuery
+from repro.queries import QueryOutcome
 from repro.engine.registry import (
     available_engines,
     create_engine,

@@ -30,10 +30,6 @@ one adapter, :class:`_OnlineEngine`: each names its backend class as
 constraint automaton, compiled once per prepared constraint.  Point
 queries, prepared queries and batches (one ``prepare_query`` per
 distinct constraint) all reach the backend through that one hook.
-Every engine can extract witness paths — a product BFS over the bound
-graph — except one adopted around a loaded index
-(``RlcIndexEngine.from_index``), which has no graph to walk, as
-:attr:`~repro.engine.base.EngineBase.witness_ready` reports.
 """
 
 from __future__ import annotations

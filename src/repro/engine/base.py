@@ -8,13 +8,14 @@ This module defines that contract for the repro library:
   (normalized labels, lazily compiled constraint automaton, stable
   digest) and reusable across any ``(source, target)`` pair and across
   engines;
-- :class:`QueryOutcome` — the structured answer of one query: the
-  boolean plus provenance (engine id, whether a service cache served
-  it, witness path when requested, wall time);
 - :class:`EngineBase` — the contract (``name``, ``prepare``,
   ``prepare_query``, ``query_prepared``, ``query_batch``) that callers
   such as :class:`repro.engine.QueryService` and the benchmark harness
   program against, and the scaffolding every adapter inherits.
+
+An engine answers a bool.  The structured
+:class:`~repro.queries.QueryOutcome` is built by the service that
+calls it.
 
 An engine is read-only after :meth:`~EngineBase.prepare` (which sets
 ``prepare_seconds``): it keeps no counters and takes no lock, so
@@ -30,7 +31,7 @@ constraint against the engine's label universe and recursive bound;
 ``_evaluate``; :meth:`~EngineBase.query_batch`
 prepares each distinct constraint of a batch once and calls
 ``_evaluate`` per query.  A one-off point query is
-``engine.query_prepared(labels, source, target).answer``: it prepares
+``engine.query_prepared(labels, source, target)``: it prepares
 the constraint on that call, so callers issuing many queries under few
 constraints should prepare once and re-use
 (``benchmarks/bench_micro_operations.py`` pins prepared re-use and
@@ -45,7 +46,6 @@ Adapters for the concrete answerers live in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,17 +64,12 @@ from repro.queries import (
 __all__ = [
     "EngineBase",
     "PreparedQuery",
-    "QueryOutcome",
 ]
 
 
-#: A witness path in the paper's split form: ``(vertices, labels)``
-#: with ``len(vertices) == len(labels) + 1``.
-WitnessPath = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-#: Anything accepted where a constraint is expected: a prepared query,
-#: a label sequence, or an :class:`RlcQuery` (its labels are used).
-ConstraintLike = Union["PreparedQuery", Sequence[int], RlcQuery]
+#: Anything accepted where a constraint is expected: a prepared query
+#: or a label sequence.
+ConstraintLike = Union["PreparedQuery", Sequence[int]]
 
 
 class PreparedQuery:
@@ -182,50 +177,6 @@ class PreparedQuery:
         )
 
 
-@dataclass(slots=True)
-class QueryOutcome:
-    """The structured result of one prepared query.
-
-    The boolean ``answer`` plus provenance: which engine produced it,
-    whether a :class:`QueryService` answered it from its result cache
-    (``cached``), the witness path when one was requested, and the
-    evaluation wall time.
-    Outcomes are truthy exactly when the answer is.  Each is built for
-    one caller, so it is a slotted record, neither frozen nor hashable.
-    """
-
-    answer: bool
-    source: int
-    target: int
-    labels: Tuple[int, ...]
-    engine: str
-    cached: bool = False
-    witness: Optional[WitnessPath] = None
-    seconds: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.answer
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready view (what the replay server's ``/query`` returns)."""
-        payload: Dict[str, object] = {
-            "answer": self.answer,
-            "source": self.source,
-            "target": self.target,
-            "labels": list(self.labels),
-            "engine": self.engine,
-            "cached": self.cached,
-            "seconds": self.seconds,
-        }
-        if self.witness is not None:
-            vertices, labels = self.witness
-            payload["witness"] = {
-                "vertices": list(vertices),
-                "labels": list(labels),
-            }
-        return payload
-
-
 class EngineBase:
     """The engine contract and the adapter scaffolding that implements it.
 
@@ -307,9 +258,9 @@ class EngineBase:
         :meth:`query_prepared` and is reusable across engines serving
         the same graph.  A :class:`PreparedQuery` (possibly built by
         another engine) passes through after the label-universe and
-        recursive-bound checks; an :class:`RlcQuery` contributes its
-        labels.  Validation runs against the bound graph or, for an
-        engine adopted around a loaded index, the index itself.
+        recursive-bound checks.  Validation runs against the bound
+        graph or, for an engine adopted around a loaded index, the
+        index itself.
         """
         surface = self._graph
         if surface is None:
@@ -324,8 +275,6 @@ class EngineBase:
                     f"(valid ids 0..{surface.num_labels - 1})"
                 )
         else:
-            if isinstance(constraint, RlcQuery):
-                constraint = constraint.labels
             prepared = PreparedQuery(
                 constraint, num_labels=surface.num_labels, engine=self.name
             )
@@ -339,43 +288,20 @@ class EngineBase:
         return prepared
 
     def query_prepared(
-        self,
-        prepared: ConstraintLike,
-        source: int,
-        target: int,
-        *,
-        witness: bool = False,
-    ) -> QueryOutcome:
-        """Evaluate a prepared constraint for one endpoint pair.
+        self, prepared: ConstraintLike, source: int, target: int
+    ) -> bool:
+        """Answer one query: does a path ``source -> target`` match ``L+``?
 
         The constraint passes through :meth:`prepare_query` (a re-check
         for a :class:`PreparedQuery`, full validation otherwise) and the
-        endpoints are checked before ``_evaluate`` runs.  With
-        ``witness=True`` the outcome carries a shortest witness path for
-        true answers.
+        endpoints are checked before ``_evaluate`` runs.
         """
-        backend = self.backend  # raises before the clock starts
+        backend = self.backend  # raises before prepare()
         prepared = self.prepare_query(prepared)
         surface = self._graph if self._graph is not None else backend
         source = checked_vertex(surface, source, "source")
         target = checked_vertex(surface, target, "target")
-        started = time.perf_counter()
-        answer = bool(self._evaluate(backend, prepared, source, target))
-        elapsed = time.perf_counter() - started
-        path = (
-            self.witness_path(prepared, source, target, answer=answer)
-            if witness
-            else None
-        )
-        return QueryOutcome(
-            answer=answer,
-            source=source,
-            target=target,
-            labels=prepared.labels,
-            engine=self.name,
-            witness=path,
-            seconds=elapsed,
-        )
+        return bool(self._evaluate(backend, prepared, source, target))
 
     def query_batch(self, queries: Sequence[RlcQuery]) -> List[bool]:
         """Answer a batch of queries, preserving input order.
@@ -399,48 +325,6 @@ class EngineBase:
             target = checked_vertex(surface, query.target, "target")
             answers.append(bool(evaluate(backend, prepared, source, target)))
         return answers
-
-    # ------------------------------------------------------------------
-    # Witness extraction
-    # ------------------------------------------------------------------
-
-    @property
-    def witness_ready(self) -> bool:
-        """True when this engine instance can extract witness paths now.
-
-        Needs a bound graph: an engine adopted around a loaded index
-        (``RlcIndexEngine.from_index``) has no edges to walk.
-        """
-        return self._graph is not None
-
-    def witness_path(
-        self,
-        constraint: ConstraintLike,
-        source: int,
-        target: int,
-        *,
-        answer: bool = True,
-    ) -> Optional[WitnessPath]:
-        """A shortest witness ``(vertices, labels)`` path, or None.
-
-        Witness extraction is a product BFS over the bound graph, so
-        every engine supports it; an engine with no graph to walk
-        (adopted via ``from_index``) raises
-        :class:`~repro.errors.EngineError`.  ``answer=False`` short-cuts
-        to None without searching.
-        """
-        if self._graph is None:
-            raise EngineError(
-                f"engine {self.name!r} has no bound graph to extract a "
-                "witness from (it was adopted around a prebuilt backend); "
-                "re-prepare it over the graph to enable witnesses"
-            )
-        if not answer:
-            return None
-        prepared = self.prepare_query(constraint)
-        from repro.core.witness import find_witness_path
-
-        return find_witness_path(self._graph, source, target, prepared.labels)
 
     def __repr__(self) -> str:
         state = "prepared" if self.prepared else "unprepared"

@@ -8,7 +8,7 @@ Replaces the hand-rolled per-engine dispatch that used to live in
     from repro.engine import create_engine
 
     engine = create_engine("rlc-index", graph, k=2)
-    engine.query_prepared((1, 0), 0, 5).answer
+    engine.query_prepared((1, 0), 0, 5)   # -> bool
 
 Beyond bare names, the registry parses **engine specs**::
 

@@ -19,9 +19,9 @@ distinct constraint is compiled once through the engine's
 ``prepare_query`` and memoized, and the LRU is keyed on the prepared
 constraint's stable :attr:`~repro.engine.base.PreparedQuery.digest`
 rather than a raw label spelling, so equivalent spellings (lists,
-numpy ints) share one entry.  :meth:`query_outcome` returns the full
-:class:`~repro.engine.base.QueryOutcome`, with ``cached`` set when the
-LRU served it; the bool-returning :meth:`query` is a shim over it.
+numpy ints) share one entry.  :meth:`query_outcome` answers one query
+with the full :class:`~repro.queries.QueryOutcome`, ``cached`` set when
+the LRU served it; it is the one place an outcome is built.
 
 A service is the one object on the query path that changes after its
 engine's ``prepare()``: its LRU, prepared memo and counters sit under
@@ -36,9 +36,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.base import EngineBase, PreparedQuery, QueryOutcome
+from repro.engine.base import EngineBase, PreparedQuery
 from repro.errors import EngineError
-from repro.queries import RlcQuery, plain_labels, vertex_id
+from repro.queries import QueryOutcome, RlcQuery, plain_labels, vertex_id
 
 __all__ = ["QueryService", "ServiceReport"]
 
@@ -151,6 +151,7 @@ class QueryService:
 
     @property
     def engine(self) -> EngineBase:
+        """The engine this service sends its uncached queries to."""
         return self._engine
 
     def prepare(self, labels) -> PreparedQuery:
@@ -172,15 +173,13 @@ class QueryService:
                 self._prepared.clear()
             return self._prepared.setdefault(prepared.labels, prepared)
 
-    def query_outcome(
-        self, source: int, target: int, labels, *, witness: bool = False
-    ) -> QueryOutcome:
+    def query_outcome(self, source: int, target: int, labels) -> QueryOutcome:
         """Answer one query through the cache, with full provenance.
 
-        A fresh evaluation returns the engine's own
-        :class:`~repro.engine.base.QueryOutcome`; a cached answer is
-        wrapped in an outcome with ``cached=True``.  ``witness=True``
-        attaches a witness path either way.
+        ``cached`` says whether the LRU served the answer; ``seconds``
+        times the lookup and, on a miss, the engine's
+        ``query_prepared``, and that time is what a miss adds to
+        ``engine_query_seconds``.
         """
         prepared = self.prepare(labels)
         if type(source) is not int:
@@ -190,40 +189,30 @@ class QueryService:
         key = (source, target, prepared.digest)
         started = time.perf_counter()
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is None:
+            answer = self._cache.get(key)
+            if answer is None:
                 self._misses += 1
             else:
                 self._hits += 1
                 self._cache.move_to_end(key)
-        if cached is not None:
-            path = None
-            if witness:
-                path = self._engine.witness_path(
-                    prepared, source, target, answer=cached
-                )
-            return QueryOutcome(
-                answer=cached,
-                source=source,
-                target=target,
-                labels=prepared.labels,
-                engine=self._engine.name,
-                cached=True,
-                witness=path,
-                seconds=time.perf_counter() - started,
-            )
-        outcome = self._engine.query_prepared(
-            prepared, source, target, witness=witness
+        cached = answer is not None
+        if not cached:
+            answer = self._engine.query_prepared(prepared, source, target)
+        seconds = time.perf_counter() - started
+        if not cached:
+            with self._lock:
+                self._engine_queries += 1
+                self._engine_query_seconds += seconds
+                self._cache_put(key, answer)
+        return QueryOutcome(
+            answer=answer,
+            source=source,
+            target=target,
+            labels=prepared.labels,
+            engine=self._engine.name,
+            cached=cached,
+            seconds=seconds,
         )
-        with self._lock:
-            self._engine_queries += 1
-            self._engine_query_seconds += outcome.seconds
-            self._cache_put(key, outcome.answer)
-        return outcome
-
-    def query(self, source: int, target: int, labels) -> bool:
-        """Answer one query through the cache (bool shim over outcomes)."""
-        return self.query_outcome(source, target, labels).answer
 
     def run(
         self,

@@ -10,10 +10,7 @@ This subpackage implements Section III-A and Definition 3 of the paper:
   3 (Lemma 2: the kernel is unique), in prefix form (forward searches)
   and suffix form (backward searches);
 - :class:`LabelDictionary` — bidirectional mapping between user-facing
-  label names and the dense integer ids used internally;
-- :func:`count_primitive_sequences` and friends — the combinatorics of
-  distinct minimum repeats used in the paper's index-size analysis
-  (Section V-C).
+  label names and the dense integer ids used internally.
 """
 
 from repro.labels.minimum_repeat import (
@@ -26,18 +23,10 @@ from repro.labels.minimum_repeat import (
     suffix_kernel_decomposition,
 )
 from repro.labels.sequences import LabelDictionary, format_constraint, parse_constraint
-from repro.labels.enumeration import (
-    count_k_bounded_minimum_repeats,
-    count_primitive_sequences,
-    enumerate_primitive_sequences,
-)
 
 __all__ = [
     "LabelDictionary",
     "border_array",
-    "count_k_bounded_minimum_repeats",
-    "count_primitive_sequences",
-    "enumerate_primitive_sequences",
     "format_constraint",
     "is_primitive",
     "kernel_decomposition",

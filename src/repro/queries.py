@@ -16,6 +16,9 @@ engine and service calls it rather than re-deriving them:
 - :func:`validate_rlc_query` — both, for a whole query;
 - :func:`plain_labels` — whether a memo keyed on a label tuple may
   reuse an earlier validation for a new spelling of it.
+
+:class:`QueryOutcome` is the structured answer of one query, built by
+:meth:`repro.engine.QueryService.query_outcome`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import CapabilityError, NonPrimitiveConstraintError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -31,6 +34,7 @@ from repro.labels.minimum_repeat import is_primitive
 from repro.labels.sequences import format_constraint
 
 __all__ = [
+    "QueryOutcome",
     "RlcQuery",
     "checked_vertex",
     "plain_labels",
@@ -68,6 +72,56 @@ class RlcQuery:
 
     def __str__(self) -> str:
         return f"Q({self.source}, {self.target}, {self.constraint_text()})"
+
+
+#: A witness path in the paper's split form: ``(vertices, labels)``
+#: with ``len(vertices) == len(labels) + 1``.
+WitnessPath = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+@dataclass(slots=True)
+class QueryOutcome:
+    """The structured result of one query.
+
+    The boolean ``answer`` plus provenance: which engine produced it,
+    whether a :class:`~repro.engine.QueryService` answered it from its
+    result cache (``cached``), the service's wall time for the lookup
+    and any evaluation (``seconds``), and the witness path a
+    :class:`~repro.api.Session` attaches when asked.
+    Outcomes are truthy exactly when the answer is.  Each is built for
+    one caller, so it is a slotted record, neither frozen nor hashable.
+    """
+
+    answer: bool
+    source: int
+    target: int
+    labels: Tuple[int, ...]
+    engine: str
+    cached: bool = False
+    witness: Optional[WitnessPath] = None
+    seconds: float = 0.0
+
+    def __bool__(self) -> bool:
+        return self.answer
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready view (what the replay server's ``/query`` returns)."""
+        payload: Dict[str, object] = {
+            "answer": self.answer,
+            "source": self.source,
+            "target": self.target,
+            "labels": list(self.labels),
+            "engine": self.engine,
+            "cached": self.cached,
+            "seconds": self.seconds,
+        }
+        if self.witness is not None:
+            vertices, labels = self.witness
+            payload["witness"] = {
+                "vertices": list(vertices),
+                "labels": list(labels),
+            }
+        return payload
 
 
 def _describe_raw_constraint(raw_labels: Tuple) -> str:

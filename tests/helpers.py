@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.graph.digraph import EdgeLabeledDigraph
+from repro.labels.minimum_repeat import is_primitive
 
 __all__ = [
+    "all_primitive_constraints",
     "brute_force_rlc",
     "enumerate_label_sequences",
+    "enumerate_primitive_sequences",
     "random_graph",
 ]
 
@@ -92,8 +95,22 @@ def enumerate_label_sequences(
     return results
 
 
+def enumerate_primitive_sequences(
+    alphabet: Sequence[int], max_length: int
+) -> Iterator[Tuple[int, ...]]:
+    """Yield every primitive sequence of length 1..max_length over ``alphabet``.
+
+    By length, then lexicographic in the order the alphabet is given;
+    the count grows as ``O(|alphabet|^max_length)``.
+    """
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
+    for length in range(1, max_length + 1):
+        for candidate in itertools.product(tuple(alphabet), repeat=length):
+            if is_primitive(candidate):
+                yield candidate
+
+
 def all_primitive_constraints(num_labels: int, k: int) -> List[Tuple[int, ...]]:
     """Every primitive label sequence of length <= k (test convenience)."""
-    from repro.labels.enumeration import enumerate_primitive_sequences
-
     return list(enumerate_primitive_sequences(range(num_labels), k))

@@ -94,9 +94,9 @@ class TestQueryEndpoint:
                 },
             )
             assert status == 200
-            assert body["answer"] == flat.query(
+            assert body["answer"] == flat.query_outcome(
                 query.source, query.target, query.labels
-            )
+            ).answer
 
     def test_engine_override_per_request(self, server):
         status, body = post(

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import gc
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import repro
-from repro.api import Session, open_session
-from repro.core import build_rlc_index
+from repro.api import Session
+from repro.core import RlcIndex, build_rlc_index
 from repro.engine import (
+    EngineBase,
     PreparedQuery,
     QueryService,
     RlcIndexEngine,
@@ -63,10 +65,6 @@ class TestOpening:
     def test_wrong_type_raises(self):
         with pytest.raises(GraphError, match="expected"):
             Session(42)
-
-    def test_open_session_function(self, fig2):
-        session = open_session(fig2, engine="bfs")
-        assert session.default_engine_spec == "bfs"
 
 
 class TestEngineMemoization:
@@ -172,7 +170,9 @@ class TestParityWithFlatService:
         flat = QueryService(create_engine("rlc-index", random_graph, k=2))
         session = Session(random_graph)
         for query in random_workload:
-            expected = flat.query(query.source, query.target, query.labels)
+            expected = flat.query_outcome(
+                query.source, query.target, query.labels
+            ).answer
             assert session.query(query.source, query.target, query.labels) == expected
 
     def test_run_accepts_workload_path(self, tmp_path, random_graph, random_workload):
@@ -265,7 +265,8 @@ class TestLifecycle:
 
 
 #: Names the top-level package no longer exports: the engine layer is
-#: imported from :mod:`repro.engine`, and ``DynamicRlcIndex`` is gone.
+#: imported from :mod:`repro.engine`; ``DynamicRlcIndex`` and
+#: ``open_session`` (spell it ``Session(...)``) are gone.
 RETIRED = (
     "DynamicRlcIndex",
     "EngineStats",
@@ -275,6 +276,7 @@ RETIRED = (
     "available_engines",
     "create_engine",
     "engine_names",
+    "open_session",
 )
 
 
@@ -289,7 +291,7 @@ class TestPackageSurface:
     def test_facade_imports_stay_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro import Session, open_session  # noqa: F401
+            from repro import Session  # noqa: F401
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -304,6 +306,50 @@ class TestPackageSurface:
             warnings.simplefilter("error", DeprecationWarning)
             for name in repro.__all__:
                 assert getattr(repro, name) is not None, name
+
+    #: The public query surface, one owner per decision: the index
+    #: probes, the engine answers a bool, the service builds the
+    #: outcome, the session attaches witnesses.  "perfbench" marks the
+    #: names perfbench/spans.py wraps through the owner's ``__dict__``.
+    QUERY_SURFACE = {
+        RlcIndex: {
+            "query",
+            "query_batch",  # perfbench
+            "query_mr",  # perfbench
+        },
+        EngineBase: {
+            "prepare_query",  # perfbench
+            "query_batch",  # perfbench
+            "query_prepared",  # perfbench
+        },
+        QueryService: {
+            "prepare",
+            "query_outcome",  # perfbench
+            "run",  # perfbench
+        },
+        Session: {
+            "explain",
+            "prepare",
+            "query",
+            "query_outcome",  # perfbench
+            "run",
+        },
+    }
+    #: A matching name that builds an engine rather than answering.
+    LIFECYCLE = {(EngineBase, "prepare")}
+
+    def test_query_surface_is_pinned(self):
+        pattern = re.compile(r"query\w*|\w*_query|explain\w*|witness\w*|run|prepare")
+        for owner, expected in self.QUERY_SURFACE.items():
+            names = {
+                name
+                for name in vars(owner)
+                if not name.startswith("_")
+                and pattern.fullmatch(name)
+                and (owner, name) not in self.LIFECYCLE
+            }
+            assert names == expected, owner.__name__
+        assert sum(map(len, self.QUERY_SURFACE.values())) == 14
 
 
 class TestEndpointIds:
@@ -340,7 +386,7 @@ class TestEndpointIds:
     @pytest.mark.parametrize("name", engine_names())
     def test_numpy_ids_answer_like_ints(self, fig2, name, warm):
         session = self._session(fig2, name, warm)
-        expected = session.engine().query_prepared(self.LABELS, 2, 5).answer
+        expected = session.engine().query_prepared(self.LABELS, 2, 5)
         outcome = session.query_outcome(np.int64(2), np.int64(5), self.LABELS)
         assert outcome.answer is expected is True
         assert type(outcome.source) is int and type(outcome.target) is int
@@ -388,7 +434,6 @@ class TestLabelSpellings:
         "PreparedQuery",
         "RlcIndex.query",
         "RlcIndex.query_batch",
-        "RlcIndex.query_star",
         "Session.query",
         *(f"query_prepared:{name}" for name in engine_names()),
         *(f"query_batch:{name}" for name in engine_names()),
@@ -426,7 +471,7 @@ class TestLabelSpellings:
             engine = create_engine(engine_name, graph)
 
             def ask(source, target, labels):
-                return engine.query_prepared(labels, source, target).answer
+                return engine.query_prepared(labels, source, target)
         else:
             engine = create_engine(engine_name, graph)
 
@@ -443,7 +488,6 @@ class TestLabelSpellings:
         self, fig2, entry, warm, spelling
     ):
         ask = self._asker(entry, fig2, warm)
-        # Equal endpoints: a star's empty path must not answer first.
         with pytest.raises(QueryError, match="unknown label id"):
             ask(5, 5, self.BAD_LABELS[spelling])
 

@@ -82,7 +82,7 @@ class TestShardedParity:
         per_block = [create_engine(inner, block, **kwargs) for block in blocks]
         expected = [q.expected for q in queries]
         assert [
-            merged.query_prepared(q.labels, q.source, q.target).answer
+            merged.query_prepared(q.labels, q.source, q.target)
             for q in queries
         ] == expected
         assert merged.query_batch(queries) == expected
@@ -96,7 +96,7 @@ class TestShardedParity:
                 continue
             answer = per_block[source_block].query_prepared(
                 query.labels, source, target
-            ).answer
+            )
             assert answer == query.expected, query
 
 

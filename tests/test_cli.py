@@ -49,6 +49,13 @@ class TestBuildAndQuery:
         # The empty path answers only a constraint the rules accept.
         assert main(["query", str(index_path), "1", "1", "(7)*"]) == 2
         assert "unknown label id: 7" in capsys.readouterr().err
+        assert main(["query", str(index_path), "2", "5", "(l2, l1)*"]) == 0
+        assert main(["query", str(index_path), "5", "0", "l1*"]) == 1
+        capsys.readouterr()
+        assert main(["query", str(index_path), "1", "1", "(l1, l1)*"]) == 2
+        assert "minimum repeat" in capsys.readouterr().err
+        assert main(["query", str(index_path), "99", "99", "l1*"]) == 2
+        assert "unknown source vertex" in capsys.readouterr().err
 
     def test_query_integer_labels(self, fig2_file, tmp_path, capsys):
         index_path = tmp_path / "fig2.npz"
@@ -211,6 +218,9 @@ class TestServe:
         out = capsys.readouterr().out
         assert "serving" in out and "http://127.0.0.1:" in out
         assert "/healthz" in out
+        assert "/query" in out
+        assert "/prepare" in out
+        assert "/batch" in out
 
     def test_serve_answers_over_http(self, fig2_file, capsys, monkeypatch):
         """End-to-end: the CLI-built server answers a real request."""

@@ -73,6 +73,26 @@ class TestPruningAblations:
         assert flat["inserted"] == 26
         assert "pruned_pr1" in flat
 
+    def test_second_build_starts_fresh(self, fig2):
+        builder = RlcIndexBuilder(fig2, 2)
+        first = builder.build()
+        second = builder.build()
+
+        def counts(index):
+            stats = index.build_stats.as_dict()
+            for wall_time in ("seconds", "phase1_seconds", "phase2_seconds"):
+                del stats[wall_time]
+            return stats
+
+        assert counts(second) == counts(first)
+        assert counts(second)["kernel_searches"] == 2 * fig2.num_vertices
+        assert second.build_stats is not first.build_stats
+        assert second._out_by_mr is not first._out_by_mr
+        assert second._in_by_mr is not first._in_by_mr
+        for vertex in range(fig2.num_vertices):
+            assert second.lout(vertex) == first.lout(vertex)
+            assert second.lin(vertex) == first.lin(vertex)
+
 
 class TestLazyStrategy:
     @pytest.mark.parametrize("seed", range(8))

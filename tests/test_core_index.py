@@ -121,26 +121,9 @@ class TestPaperExample4:
 
 
 class TestQuerySemantics:
-    def test_star_same_vertex(self, fig2_index):
-        assert fig2_index.query_star(V["v6"], V["v6"], (L1,)) is True
-
-    def test_star_distinct(self, fig2_index):
-        assert fig2_index.query_star(V["v3"], V["v6"], (L2, L1)) is True
-        assert fig2_index.query_star(V["v6"], V["v1"], (L1,)) is False
-
-    def test_star_validates_like_plus(self, fig2_index):
-        # The empty path answers only a query the rules accept.
-        with pytest.raises(QueryError, match="unknown label id: 7"):
-            fig2_index.query_star(V["v2"], V["v2"], (7,))
-        with pytest.raises(NonPrimitiveConstraintError):
-            fig2_index.query_star(V["v2"], V["v2"], (L1, L1))
-        for vertex in (99, -1):
-            with pytest.raises(QueryError, match="unknown source vertex"):
-                fig2_index.query_star(vertex, vertex, (L1,))
-
     def test_star_has_one_reduction(self):
         # The traversals and ETC answer stars through no copy of their
-        # own: RlcIndex.query_star is the one validated reduction.
+        # own: ``repro query`` is the one validated reduction.
         from repro.baselines import ExtendedTransitiveClosure
         from repro.baselines.bfs import _NfaTraversal
 

@@ -1,4 +1,4 @@
-"""Tests for index diagnostics: entry distribution and query explain."""
+"""Tests for index diagnostics: the entry distribution."""
 
 from __future__ import annotations
 
@@ -7,10 +7,7 @@ import itertools
 import pytest
 
 from repro.core import build_rlc_index
-from repro.errors import CapabilityError
 from repro.graph.digraph import EdgeLabeledDigraph
-
-from tests.helpers import all_primitive_constraints, random_graph
 
 
 class TestEntryDistribution:
@@ -37,31 +34,3 @@ class TestEntryDistribution:
         # Section VI-B: entries are hub-dominated on BA graphs.
         assert ba["max"] / max(ba["mean"], 1e-9) > er["max"] / max(er["mean"], 1e-9)
 
-
-class TestExplain:
-    def test_case2_lout(self, fig2_index):
-        # (v6? no) — v3 has (v1, l2) in Lout: query(v3, v1, l2+).
-        assert fig2_index.explain(2, 0, (1,)) == "case2: (t, L) in Lout(s)"
-
-    def test_case2_lin(self, fig2_index):
-        # Q2(v1, v2, (l2 l1)+) is answered by (v1,(l2,l1)) in Lin(v2).
-        assert fig2_index.explain(0, 1, (1, 0)) == "case2: (s, L) in Lin(t)"
-
-    def test_case1_common_hub(self, fig2_index):
-        # Q1(v3, v6, (l2 l1)+) via hub v1.
-        assert fig2_index.explain(2, 5, (1, 0)) == "case1: common hub v0"
-
-    def test_false(self, fig2_index):
-        assert fig2_index.explain(0, 2, (0,)) == "false: no entry pair"
-
-    def test_explain_consistent_with_query(self):
-        graph = random_graph(321)
-        index = build_rlc_index(graph, 2)
-        for s, t in itertools.product(range(graph.num_vertices), repeat=2):
-            for labels in all_primitive_constraints(graph.num_labels, 2):
-                explanation = index.explain(s, t, labels)
-                assert explanation.startswith("false") != index.query(s, t, labels)
-
-    def test_explain_validates(self, fig2_index):
-        with pytest.raises(CapabilityError):
-            fig2_index.explain(0, 1, (0, 1, 2))

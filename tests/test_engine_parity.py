@@ -91,7 +91,7 @@ class TestParity:
         engine = create_engine(name, graph, **ENGINE_KWARGS.get(name, {}))
         expected = [q.expected for q in queries]
         single = [
-            engine.query_prepared(q.labels, q.source, q.target).answer
+            engine.query_prepared(q.labels, q.source, q.target)
             for q in queries
         ]
         assert single == expected, f"{name} disagrees with the oracle on {topology}"

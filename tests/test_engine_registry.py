@@ -101,7 +101,7 @@ class TestSpecs:
         engine = create_engine("rlc?k=3", fig2)
         assert engine.name == "rlc-index"
         assert engine.k == 3
-        assert engine.query_prepared((1, 0), 2, 5).answer is True
+        assert engine.query_prepared((1, 0), 2, 5) is True
 
     @pytest.mark.parametrize(
         "spec",
@@ -162,7 +162,7 @@ class TestEngineLifecycle:
         # The engine keeps no counters; its service counts what it sends.
         service = QueryService(create_engine("bfs", fig2), cache_size=0)
         query = RlcQuery(2, 5, (1, 0))
-        service.query(query.source, query.target, query.labels)
+        service.query_outcome(query.source, query.target, query.labels)
         service.run([query, query])
         counters = service.counters()
         assert counters["engine_queries"] == 1
@@ -175,7 +175,7 @@ class TestEngineLifecycle:
         engine = RlcIndexEngine.from_index(fig2_index)
         assert engine.prepared
         assert engine.backend is fig2_index
-        assert engine.query_prepared((1, 0), 2, 5).answer is True
+        assert engine.query_prepared((1, 0), 2, 5) is True
 
 
 class TestBatchedRlcIndex:
@@ -188,7 +188,7 @@ class TestBatchedRlcIndex:
             RlcQuery(5, 2, (1, 0)),   # shares the first constraint
         ]
         sequential = [
-            engine.query_prepared(q.labels, q.source, q.target).answer
+            engine.query_prepared(q.labels, q.source, q.target)
             for q in queries
         ]
         assert engine.query_batch(queries) == sequential
@@ -236,7 +236,7 @@ class TestEngineBatches:
         batch = self._mixed_batch(graph)
         answers = engine.query_batch(batch)
         assert answers == [
-            engine.query_prepared(q.labels, q.source, q.target).answer
+            engine.query_prepared(q.labels, q.source, q.target)
             for q in batch
         ]
         assert answers == [
@@ -254,7 +254,7 @@ class TestEngineBatches:
                 engine.query_batch([over_k])
         else:
             assert engine.query_batch([over_k]) == [
-                engine.query_prepared(over_k.labels, 0, 1).answer
+                engine.query_prepared(over_k.labels, 0, 1)
             ]
         assert engine.query_batch([]) == []
 

@@ -87,8 +87,8 @@ class TestRun:
 class TestCache:
     def test_point_query_hits_cache(self, engine):
         service = QueryService(engine)
-        assert service.query(2, 5, (1, 0)) is True
-        assert service.query(2, 5, [1, 0]) is True
+        assert service.query_outcome(2, 5, (1, 0)).answer is True
+        assert service.query_outcome(2, 5, [1, 0]).answer is True
         counters = service.counters()
         assert counters["cache_hits"] == 1
         assert counters["cache_misses"] == 1
@@ -98,8 +98,8 @@ class TestCache:
 
     def test_false_answers_are_cached_too(self, engine):
         service = QueryService(engine)
-        assert service.query(0, 2, (0,)) is False
-        assert service.query(0, 2, (0,)) is False
+        assert service.query_outcome(0, 2, (0,)).answer is False
+        assert service.query_outcome(0, 2, (0,)).answer is False
         assert service.counters()["cache_hits"] == 1
 
     def test_lru_eviction(self, engine, workload):

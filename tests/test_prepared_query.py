@@ -6,9 +6,9 @@ Covers the PR-5 API redesign end to end:
   digest stability);
 - randomized parity between ``query_prepared`` and the brute-force
   oracle for every registry engine;
-- witness-path validity for every engine: the returned path must be a
-  real path of the graph whose label sequence is a power of the
-  constraint;
+- witness-path validity behind every engine's true answers, attached
+  by the session: the returned path must be a real path of the graph
+  whose label sequence is a power of the constraint;
 - :class:`QueryOutcome` provenance through the service layer (cache
   layer attribution, prepared-constraint digests);
 - the error taxonomy (:class:`EngineOptionError` naming the spec,
@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.engine import (
     PreparedQuery,
-    QueryOutcome,
     QueryService,
     RlcIndexEngine,
     create_engine,
     engine_names,
+    filter_engine_options,
 )
 from repro.errors import (
     CapabilityError,
@@ -42,8 +43,6 @@ FLAT_ENGINES = ("rlc-index", "bfs", "bibfs", "dfs", "etc", "sys1", "sys2", "virt
 
 def build(spec: str, graph, k: int = 2):
     """Create an engine, passing k only where its constructor accepts it."""
-    from repro.engine import filter_engine_options
-
     return create_engine(spec, graph, **filter_engine_options(spec, {"k": k}))
 
 
@@ -133,10 +132,10 @@ class TestPreparedParity:
                 prepared = engine.prepare_query(labels)
                 for source in range(0, graph.num_vertices, 2):
                     for target in range(0, graph.num_vertices, 3):
-                        outcome = engine.query_prepared(prepared, source, target)
-                        assert isinstance(outcome, QueryOutcome)
+                        answer = engine.query_prepared(prepared, source, target)
+                        assert type(answer) is bool
                         expected = brute_force_rlc(graph, source, target, labels)
-                        assert outcome.answer == expected, (
+                        assert answer == expected, (
                             spec, seed, source, target, labels,
                         )
                         checked += 1
@@ -146,8 +145,8 @@ class TestPreparedParity:
         prepared = create_engine("rlc-index", fig2, k=2).prepare_query((1, 0))
         for spec in ("bfs", "bibfs", "dfs"):
             engine = create_engine(spec, fig2)
-            assert engine.query_prepared(prepared, 2, 5).answer is True
-            assert engine.query_prepared(prepared, 0, 2).answer is False
+            assert engine.query_prepared(prepared, 2, 5) is True
+            assert engine.query_prepared(prepared, 0, 2) is False
 
     def test_reprepared_engine_never_serves_stale_memos(self):
         # Regression: re-binding an engine to a new graph must rotate
@@ -159,9 +158,9 @@ class TestPreparedParity:
         empty = EdgeLabeledDigraph(2, [], num_labels=1)
         engine = RlcIndexEngine(k=1).prepare(connected)
         prepared = engine.prepare_query((0,))
-        assert engine.query_prepared(prepared, 0, 1).answer is True
+        assert engine.query_prepared(prepared, 0, 1) is True
         engine.prepare(empty)
-        assert engine.query_prepared(prepared, 0, 1).answer is False
+        assert engine.query_prepared(prepared, 0, 1) is False
 
     def test_state_memos_are_per_engine_instance(self):
         # Regression: PreparedQuery.state used to be keyed by engine
@@ -182,28 +181,27 @@ class TestPreparedParity:
                         # Warm first's memo slice, then ask second.
                         assert first.query_prepared(
                             prepared, source, target
-                        ).answer == expected
+                        ) == expected
                         assert second.query_prepared(
                             prepared, source, target
-                        ).answer == expected
+                        ) == expected
 
 
 class TestWitnessParity:
-    """Every engine returns genuinely path-valid witnesses."""
+    """The session attaches a path-valid witness to every engine's true answers."""
 
     @pytest.mark.parametrize("spec", engine_names())
     def test_witnesses_are_real_paths(self, spec):
         verified = 0
+        options = filter_engine_options(spec, {"k": 2})
         for seed in range(5):
             graph = random_graph(seed + 100, max_vertices=8)
-            engine = build(spec, graph)
-            assert engine.witness_ready
+            session = Session(graph, engine=spec)
             for labels in all_primitive_constraints(graph.num_labels, 2):
-                prepared = engine.prepare_query(labels)
                 for source in range(graph.num_vertices):
                     for target in range(0, graph.num_vertices, 2):
-                        outcome = engine.query_prepared(
-                            prepared, source, target, witness=True
+                        outcome = session.query_outcome(
+                            source, target, labels, witness=True, **options
                         )
                         if not outcome.answer:
                             assert outcome.witness is None
@@ -216,12 +214,12 @@ class TestWitnessParity:
         assert verified > 50, f"{spec}: too few true queries to verify"
 
     def test_witness_without_graph_raises(self, fig2_index):
-        engine = RlcIndexEngine.from_index(fig2_index)
-        assert not engine.witness_ready
-        prepared = engine.prepare_query((1, 0))
-        assert engine.query_prepared(prepared, 2, 5).answer is True
+        session = Session.from_prepared(
+            RlcIndexEngine.from_index(fig2_index), spec="rlc-index"
+        )
+        assert session.query(2, 5, (1, 0)) is True
         with pytest.raises(EngineError, match="no bound graph"):
-            engine.query_prepared(prepared, 2, 5, witness=True)
+            session.query_outcome(2, 5, (1, 0), witness=True)
 
 
 class TestServiceOutcomes:
@@ -247,9 +245,9 @@ class TestServiceOutcomes:
         assert service.counters()["prepared_constraints"] == 1
 
     def test_cached_outcome_can_still_attach_witness(self, fig2):
-        service = QueryService(create_engine("rlc-index", fig2, k=2))
-        service.query(2, 5, (1, 0))
-        outcome = service.query_outcome(2, 5, (1, 0), witness=True)
+        session = Session(fig2)
+        session.query(2, 5, (1, 0))
+        outcome = session.query_outcome(2, 5, (1, 0), witness=True)
         assert outcome.cached
         assert_witness_valid(fig2, 2, 5, (1, 0), outcome.witness)
 
@@ -258,9 +256,9 @@ class TestServiceOutcomes:
         assert service.prepare((1, 0)) is service.prepare([1, 0])
 
     def test_outcome_truthiness_matches_answer(self, fig2):
-        engine = create_engine("bfs", fig2)
-        assert engine.query_prepared(engine.prepare_query((1, 0)), 2, 5)
-        assert not engine.query_prepared(engine.prepare_query((0,)), 0, 2)
+        service = QueryService(create_engine("bfs", fig2))
+        assert service.query_outcome(2, 5, (1, 0))
+        assert not service.query_outcome(0, 2, (0,))
 
 
 class TestErrorTaxonomy:

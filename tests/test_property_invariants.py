@@ -127,13 +127,6 @@ class TestStructuralInvariants:
 
     @SETTINGS
     @given(graphs())
-    def test_star_reduces_to_plus(self, graph):
-        index = build_rlc_index(graph, 1)
-        for s in range(graph.num_vertices):
-            assert index.query_star(s, s, (0,)) is True
-
-    @SETTINGS
-    @given(graphs())
     def test_save_load_preserves_queries(self, graph):
         import os
         import tempfile

@@ -15,9 +15,10 @@ Two guards make the script a CI gate (the ``docs-check`` job):
 - the public facade packages must never drop out of the reference
   silently (e.g. a skipped package or a swallowed import error);
 - every public symbol — and every public method/property of a public
-  class — in the *documentation-guarded* module (the engine contract
-  every answerer implements) must carry a docstring, or the script
-  exits non-zero listing the offenders.
+  class — in the *documentation-guarded* modules (the query surface:
+  the query rules, the index, the engine contract, the service and the
+  session) must carry a docstring, or the script exits non-zero
+  listing the offenders.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ SKIP_MODULES = {"repro.__main__"}
 
 # Modules whose public surface must be fully docstring-covered; missing
 # docstrings fail CI rather than silently producing empty doc entries.
-DOCSTRING_GUARDED = ("repro.engine.base", "repro.queries")
+DOCSTRING_GUARDED = (
+    "repro.queries",
+    "repro.core.index",
+    "repro.engine.base",
+    "repro.engine.service",
+    "repro.api.session",
+)
 
 
 def first_paragraph(doc: str) -> str:

@@ -177,7 +177,7 @@ def main() -> int:
                 body = post(url + "/query", query_payload(query))
                 direct = engine.query_prepared(
                     query.labels, query.source, query.target
-                ).answer
+                )
                 if body["answer"] != direct:
                     mismatches += 1
                     print(
@@ -209,7 +209,7 @@ def main() -> int:
             )
             assert batch["ok"] is True, batch
             direct = [
-                engine.query_prepared(q.labels, q.source, q.target).answer
+                engine.query_prepared(q.labels, q.source, q.target)
                 for q in workload
             ]
             assert batch["answers"] == direct
