@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.labels.minimum_repeat import is_primitive
@@ -12,6 +12,8 @@ from repro.labels.minimum_repeat import is_primitive
 __all__ = [
     "all_primitive_constraints",
     "brute_force_rlc",
+    "count_k_bounded_minimum_repeats",
+    "count_primitive_sequences",
     "enumerate_label_sequences",
     "enumerate_primitive_sequences",
     "random_graph",
@@ -93,6 +95,33 @@ def enumerate_label_sequences(
                     next_frontier.append(pair)
         frontier = next_frontier
     return results
+
+
+def count_primitive_sequences(alphabet_size: int, length: int) -> int:
+    """``F(length)`` of Section V-C: distinct minimum repeats of this length.
+
+    The paper's recursion ``F(i) = |L|^i - sum(F(j) for j | i, j < i)``;
+    every sequence of length ``i`` is ``P^z`` for one primitive ``P``
+    whose length divides ``i``.
+    """
+    if alphabet_size < 0 or length < 1:
+        raise ValueError("alphabet_size must be >= 0 and length >= 1")
+    counts: Dict[int, int] = {}
+    for i in range(1, length + 1):
+        counts[i] = alphabet_size**i - sum(
+            counts[j] for j in range(1, i) if i % j == 0
+        )
+    return counts[length]
+
+
+def count_k_bounded_minimum_repeats(alphabet_size: int, k: int) -> int:
+    """The paper's constant ``C = sum_{i=1..k} F(i)``: the constraints a
+    ``k``-bounded index answers, and the size of
+    :func:`all_primitive_constraints`.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return sum(count_primitive_sequences(alphabet_size, i) for i in range(1, k + 1))
 
 
 def enumerate_primitive_sequences(

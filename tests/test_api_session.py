@@ -435,6 +435,9 @@ class TestLabelSpellings:
         "RlcIndex.query",
         "RlcIndex.query_batch",
         "Session.query",
+        "Session.query_outcome",
+        "Session.explain",
+        "QueryService.query_outcome",
         *(f"query_prepared:{name}" for name in engine_names()),
         *(f"query_batch:{name}" for name in engine_names()),
     )
@@ -446,7 +449,8 @@ class TestLabelSpellings:
         ``warm`` first answers the good query; a batched entry point
         gets it in the same batch, ahead of the asked query.  The
         ``PreparedQuery`` entry has no endpoints: it "answers" True
-        when the labels normalize to ``GOOD``.
+        when the labels normalize to ``GOOD``.  ``Session.query_outcome``
+        asks for a witness, which must come with every true answer.
         """
         kind, _, engine_name = entry.partition(":")
         lead = [RlcQuery(2, 5, cls.GOOD)] if warm else []
@@ -467,6 +471,23 @@ class TestLabelSpellings:
             ask = getattr(build_rlc_index(graph, 2), kind.split(".")[1])
         elif kind == "Session.query":
             ask = Session(graph).query
+        elif kind == "Session.query_outcome":
+            session = Session(graph)
+
+            def ask(source, target, labels):
+                outcome = session.query_outcome(source, target, labels, witness=True)
+                assert (outcome.witness is not None) == outcome.answer
+                return outcome.answer
+        elif kind == "Session.explain":
+            session = Session(graph)
+
+            def ask(source, target, labels):
+                return session.explain(source, target, labels)["answer"]
+        elif kind == "QueryService.query_outcome":
+            service = QueryService(create_engine("rlc-index", graph, k=2))
+
+            def ask(source, target, labels):
+                return service.query_outcome(source, target, labels).answer
         elif kind == "query_prepared":
             engine = create_engine(engine_name, graph)
 
