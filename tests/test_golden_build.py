@@ -12,6 +12,10 @@ the size model and a SHA-256 over every entry.  A change to the builder
 or to the entry store that claims to keep the index identical must
 leave all of them unchanged; a change that means to alter the index
 updates these values and says why.
+
+The ETC baseline is pinned the same way on the EP k=2 and WN k=3
+graphs: its pair and entry counts, its size model and a SHA-256 over
+the sorted closure.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from functools import partial
 
 import pytest
 
+from repro.baselines.etc import ExtendedTransitiveClosure
 from repro.core import build_rlc_index
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import labeled_erdos_renyi
@@ -223,3 +228,54 @@ class TestGoldenBuild:
     def test_condensed(self, golden_build):
         index, golden = golden_build
         assert (index.condensedness_violations() == []) == golden.get("condensed", True)
+
+
+#: ETC case id -> (graph factory, k)
+ETC_CASES = {
+    "EP-k2": (EP, 2),
+    "WN-k3": (partial(load_dataset, "WN", scale=0.1), 3),
+}
+
+ETC_GOLDEN = {
+    "EP-k2": {
+        "num_pairs": 22286,
+        "num_entries": 74753,
+        "size_bytes": 452730,
+        "sha256": "cb00bd7063441a413740c827dfb47014e1944d1324d159c9f94f90269b360865",
+    },
+    "WN-k3": {
+        "num_pairs": 15834,
+        "num_entries": 52683,
+        "size_bytes": 361310,
+        "sha256": "8fa42cefcdabe733d1d9320b290fdd34658ea5df342f2930816fa92bd4204b2c",
+    },
+}
+
+
+def closure_digest(etc) -> str:
+    """SHA-256 of the sorted ``(source, target, mr)`` entries of an ETC."""
+    n = etc.graph.num_vertices
+    entries = sorted(
+        (s, t, mr) for s in range(n) for t in range(n) for mr in etc.minimum_repeats(s, t)
+    )
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module", params=sorted(ETC_CASES))
+def golden_etc(request):
+    graph, k = ETC_CASES[request.param]
+    return ExtendedTransitiveClosure.build(graph(), k), ETC_GOLDEN[request.param]
+
+
+class TestGoldenEtc:
+    """The ETC baseline's closure, pinned like the RLC builds above."""
+
+    def test_sizes(self, golden_etc):
+        etc, golden = golden_etc
+        assert etc.num_pairs == golden["num_pairs"]
+        assert etc.num_entries == golden["num_entries"]
+        assert etc.estimated_size_bytes() == golden["size_bytes"]
+
+    def test_closure_digest(self, golden_etc):
+        etc, golden = golden_etc
+        assert closure_digest(etc) == golden["sha256"]
