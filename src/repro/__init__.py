@@ -56,14 +56,13 @@ from repro.core import (
     BuildStats,
     ExtendedQueryEvaluator,
     RlcIndex,
-    RlcIndexBuilder,
     build_rlc_index,
     find_witness_path,
 )
 from repro.engine.base import PreparedQuery
 from repro.api import ReplayServer, Session
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "BudgetExceededError",
@@ -90,7 +89,6 @@ __all__ = [
     "QueryOutcome",
     "ReproError",
     "RlcIndex",
-    "RlcIndexBuilder",
     "RlcQuery",
     "SerializationError",
     "build_rlc_index",

@@ -8,20 +8,22 @@ smallest dataset within 24 hours (Table IV reports ``-`` elsewhere).
 
 Per the paper, ETC is built with **forward kernel-based searches from
 every vertex, without pruning rules**, storing pairs in a hashmap.  The
-optional time/entry budgets let the benchmark harness reproduce the
-paper's cut-off behaviour at reproduction scale.
+search is the RLC builder's own
+(:func:`repro.core.builder.kernel_based_search`), run forward only,
+eager, no pruning, so Table IV's indexing times compare one search with
+and without PR1-PR3.  The optional time/entry budgets let the benchmark
+harness reproduce the paper's cut-off behaviour at reproduction scale.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
+from repro.core.builder import SearchDirection, kernel_based_search
+from repro.core.index import BuildStats
 from repro.errors import BudgetExceededError
 from repro.graph.digraph import EdgeLabeledDigraph
-from repro.labels.minimum_repeat import minimum_repeat
 from repro.queries import validate_build_options, validate_rlc_query
 
 __all__ = ["ExtendedTransitiveClosure"]
@@ -70,7 +72,11 @@ class ExtendedTransitiveClosure:
         time_budget: Optional[float] = None,
         max_entries: Optional[int] = None,
     ) -> "ExtendedTransitiveClosure":
-        """Run an unpruned forward KBS from every vertex.
+        """Run the RLC build's forward KBS from every vertex, without pruning.
+
+        The search is :func:`repro.core.builder.kernel_based_search`,
+        eager, with PR3 off; its insert rule records ``MR`` in the
+        pair's concise set and counts the new entries.
 
         ``time_budget`` (seconds) and ``max_entries`` emulate the
         paper's 24-hour / out-of-memory cut-offs; exceeding either
@@ -80,9 +86,24 @@ class ExtendedTransitiveClosure:
         started = time.perf_counter()
         closure: Dict[Pair, Set[Mr]] = {}
         entry_count = 0
-        view = graph.label_adjacency()
+
+        def record(vertices: Set[int], mr: Mr) -> None:
+            # The insert rule of the search from ``source``: no pruning.
+            nonlocal entry_count
+            for vertex in vertices:
+                mrs = closure.setdefault((source, vertex), set())
+                if mr not in mrs:
+                    mrs.add(mr)
+                    entry_count += 1
+
+        forward = SearchDirection(graph, backward=False)
+        # The search's counters are the RLC build's; ETC keeps none.
+        stats = BuildStats()
+        mr_of: Dict[Tuple[int, ...], Mr] = {}
         for source in range(graph.num_vertices):
-            entry_count += cls._kbs_from(graph, view, k, source, closure)
+            kernel_based_search(
+                source, forward, record, stats, mr_of, k=k, lazy=False, use_pr3=False
+            )
             if time_budget is not None and time.perf_counter() - started > time_budget:
                 raise BudgetExceededError(
                     f"ETC build exceeded {time_budget:.1f}s "
@@ -98,74 +119,13 @@ class ExtendedTransitiveClosure:
             graph, k, frozen, build_seconds=time.perf_counter() - started
         )
 
-    @staticmethod
-    def _kbs_from(
-        graph: EdgeLabeledDigraph,
-        view: List[List[Tuple[int, ...]]],
-        k: int,
-        source: int,
-        closure: Dict[Pair, Set[Mr]],
-    ) -> int:
-        """Forward eager KBS from ``source``; returns new-entry count.
-
-        ``view`` is ``graph.label_adjacency()``, taken once per build.
-        """
-        added = 0
-        kernels: Dict[Mr, Set[int]] = {}
-        seen_paths: Set[Tuple[int, Tuple[int, ...]]] = set()
-        queue = deque(((source, ()),))
-        # Phase 1 — kernel search: every distinct label sequence of
-        # length <= k; each endpoint contributes its MR and becomes a
-        # copy-boundary frontier vertex of that kernel candidate.
-        while queue:
-            vertex, sequence = queue.popleft()
-            for label, neighbor in graph.out_edges(vertex):
-                extended = sequence + (label,)
-                key = (neighbor, extended)
-                if key in seen_paths:
-                    continue
-                seen_paths.add(key)
-                mr = minimum_repeat(extended)
-                bucket = closure.setdefault((source, neighbor), set())
-                if mr not in bucket:
-                    bucket.add(mr)
-                    added += 1
-                kernels.setdefault(mr, set()).add(neighbor)
-                if len(extended) < k:
-                    queue.append((neighbor, extended))
-        # Phase 2 — kernel BFS: continue each kernel candidate L from
-        # its frontier, consuming L cyclically; record an entry at every
-        # newly reached copy boundary.  Each (vertex, phase) pair is
-        # visited once, so the search terminates on any graph.  The
-        # search is level-synchronous: one frontier moves round the
-        # phases, a step being one union of the view's neighbour tuples.
-        for kernel, boundary in kernels.items():
-            m = len(kernel)
-            rows = [view[label] for label in kernel]
-            visited = [boundary] + [set() for _ in range(m - 1)]
-            frontier: Iterable[int] = boundary
-            phase = 0
-            while frontier:
-                step = rows[phase]
-                reached = set(chain.from_iterable(map(step.__getitem__, frontier)))
-                phase = (phase + 1) % m
-                reached -= visited[phase]
-                visited[phase] |= reached
-                if phase == 0:
-                    for neighbor in reached:
-                        bucket = closure.setdefault((source, neighbor), set())
-                        if kernel not in bucket:
-                            bucket.add(kernel)
-                            added += 1
-                frontier = reached
-        return added
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     @property
     def graph(self) -> EdgeLabeledDigraph:
+        """The graph the closure was computed over."""
         return self._graph
 
     @property

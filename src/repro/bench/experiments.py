@@ -43,7 +43,7 @@ from repro.bench.harness import (
     run_query_set,
     time_call,
 )
-from repro.core import ExtendedQueryEvaluator, RlcIndexBuilder, build_rlc_index
+from repro.core import ExtendedQueryEvaluator, build_rlc_index
 from repro.engine import create_engine, get_engine_class
 from repro.errors import BudgetExceededError
 from repro.graph import compute_stats, datasets, generators
@@ -119,7 +119,10 @@ def experiment_table4(
 ) -> ResultTable:
     """Indexing time (IT) and index size (IS) for the RLC index and ETC.
 
-    ETC runs under a budget emulating the paper's 24-hour/OOM cut-off;
+    Both builds run the same kernel-based search
+    (:func:`repro.core.builder.kernel_based_search`): the RLC index
+    with PR1-PR3, ETC forward only without them, so the IT columns
+    compare one search with and without pruning.  ETC runs under a budget emulating the paper's 24-hour/OOM cut-off;
     exceeding it reports ``-`` exactly as Table IV does (in the paper
     ETC completes only on AD).
     """
@@ -569,16 +572,15 @@ def experiment_ablation_pruning(
         formatters={"indexing_s": format_seconds, "size_bytes": format_bytes},
     )
     for label, kwargs in variants:
-        builder = RlcIndexBuilder(graph, k, **kwargs)
-        index, seconds = time_call(builder.build)
+        index, seconds = time_call(lambda: build_rlc_index(graph, k, **kwargs))
         table.add_row(
             variant=label,
             indexing_s=seconds,
             entries=index.num_entries,
             size_bytes=index.estimated_size_bytes(),
-            pruned_pr1=builder.stats.pruned_pr1,
-            pruned_pr2=builder.stats.pruned_pr2,
-            pr3_stops=builder.stats.pr3_stops,
+            pruned_pr1=index.build_stats.pruned_pr1,
+            pruned_pr2=index.build_stats.pruned_pr2,
+            pr3_stops=index.build_stats.pr3_stops,
         )
     return table
 
@@ -604,13 +606,12 @@ def experiment_ablation_strategies(
         formatters={"indexing_s": format_seconds, "size_bytes": format_bytes},
     )
     for label, kwargs in variants:
-        builder = RlcIndexBuilder(graph, k, **kwargs)
-        index, seconds = time_call(builder.build)
+        index, seconds = time_call(lambda: build_rlc_index(graph, k, **kwargs))
         table.add_row(
             variant=label,
             indexing_s=seconds,
             entries=index.num_entries,
             size_bytes=index.estimated_size_bytes(),
-            phase1_expansions=builder.stats.phase1_expansions,
+            phase1_expansions=index.build_stats.phase1_expansions,
         )
     return table

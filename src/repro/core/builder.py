@@ -35,8 +35,11 @@ union of the neighbour tuples of the graph's label-major view
 - PR3: when a kernel-BFS insert at a copy boundary is not stored (a
   duplicate, or pruned by PR1 or PR2), do not expand past that vertex.
 
-One object per search, :class:`_Inserter`, applies the insert rule for
-both phases.
+One routine, :func:`kernel_based_search`, runs both phases of one
+search; the insert rule is passed in.  The build passes
+:class:`_Inserter`, which applies PR1 and PR2; the ETC baseline
+(:mod:`repro.baselines.etc`) runs the same search, forward only, eager,
+no pruning, with an insert rule that records every entry.
 
 **Order inside a search.**  Within one search the order of visits
 cannot change the index or any counter.  An attempt at vertex ``y`` for
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.index import BuildStats, RlcIndex
 from repro.core.ordering import compute_order
@@ -75,20 +78,35 @@ from repro.labels.minimum_repeat import (
 )
 from repro.queries import validate_build_options
 
-__all__ = ["RlcIndexBuilder", "build_rlc_index"]
+__all__ = ["SearchDirection", "build_rlc_index", "kernel_based_search"]
 
 Mr = Tuple[int, ...]
+#: An insert rule: ``insert(vertices, mr)`` attempts ``(origin, mr)`` at
+#: each vertex and returns those where it was stored (read under PR3).
+Insert = Callable[[Set[int], Mr], Optional[List[int]]]
 
 STRATEGIES = ("eager", "lazy")
 
 
-class RlcIndexBuilder:
-    """Configurable builder for :class:`~repro.core.RlcIndex`.
+def build_rlc_index(
+    graph: EdgeLabeledDigraph,
+    k: int,
+    *,
+    ordering: str = "in-out",
+    strategy: str = "eager",
+    use_pr1: bool = True,
+    use_pr2: bool = True,
+    use_pr3: bool = True,
+    seed: Optional[int] = None,
+    time_budget: Optional[float] = None,
+) -> RlcIndex:
+    """Run Algorithm 2 and return the finished index.
 
     Parameters mirror the paper's design space:
 
     - ``k`` — the recursive bound (Definition 1);
-    - ``ordering`` — access-id strategy (``"in-out"`` default);
+    - ``ordering`` — access-id strategy (``"in-out"`` default), with
+      ``seed`` for the ``"random"`` one;
     - ``strategy`` — ``"eager"`` (default) or ``"lazy"`` KBS;
     - ``use_pr1`` / ``use_pr2`` / ``use_pr3`` — pruning-rule toggles
       (all on by default; turning any off keeps the index sound and
@@ -98,265 +116,250 @@ class RlcIndexBuilder:
       :class:`~repro.errors.BudgetExceededError` (used by the harness
       to emulate the paper's 24-hour timeout).
 
-    >>> from repro.graph.generators import paper_figure2
-    >>> index = RlcIndexBuilder(paper_figure2(), k=2).build()
+    The build's counters are the index's ``build_stats``.  Every call
+    starts from fresh state, so two calls return equal indexes over
+    their own entry stores.
+
+    >>> from repro.graph.generators import paper_figure1, paper_figure2
+    >>> index = build_rlc_index(paper_figure2(), k=2)
     >>> index.query(2, 5, (1, 0))   # Q1(v3, v6, (l2 l1)+) of Example 4
     True
+    >>> g = paper_figure1()
+    >>> index = build_rlc_index(g, k=2)
+    >>> a14, a19 = 5, 9  # vertex ids of accounts A14 and A19
+    >>> index.query(a14, a19, g.encode_sequence(("debits", "credits")))
+    True
     """
+    toggles = dict(use_pr1=use_pr1, use_pr2=use_pr2, use_pr3=use_pr3)
+    validate_build_options(k, time_budget=time_budget, seed=seed, **toggles)
+    if strategy not in STRATEGIES:
+        raise QueryError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    n = graph.num_vertices
+    out_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
+    in_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
+    # PR2 prunes the vertices whose searches already ran.
+    done: Set[int] = set()
+    stats = BuildStats()
+    started = time.perf_counter()
+    order = compute_order(graph, ordering, seed=seed)
+    backward = SearchDirection(graph, backward=True)
+    forward = SearchDirection(graph, backward=False)
+    lazy = strategy == "lazy"
+    mr_of: Dict[Tuple[int, ...], Mr] = {}
+    for position, vertex in enumerate(order):
+        aid = position + 1
+        # Every entry a search stores lands on the side it writes (Lout
+        # for backward), so the origin's other side is fixed until the
+        # search ends.
+        for direction, written, origin_side in (
+            (backward, out_by_mr, in_by_mr[vertex]),
+            (forward, in_by_mr, out_by_mr[vertex]),
+        ):
+            insert = _Inserter(
+                stats,
+                done if use_pr2 else None,
+                aid,
+                written,
+                origin_side if use_pr1 else None,
+                order,
+            )
+            kernel_based_search(
+                vertex, direction, insert, stats, mr_of, k=k, lazy=lazy, use_pr3=use_pr3
+            )
+            insert.flush()
+        done.add(vertex)
+        if time_budget is not None and time.perf_counter() - started > time_budget:
+            raise BudgetExceededError(
+                f"index build exceeded {time_budget:.1f}s "
+                f"(at vertex {aid}/{len(order)})"
+            )
+    stats.seconds = time.perf_counter() - started
+    return RlcIndex(
+        k=k,
+        num_vertices=n,
+        num_labels=graph.num_labels,
+        order=order,
+        out_by_mr=out_by_mr,
+        in_by_mr=in_by_mr,
+        build_stats=stats,
+        label_dictionary=graph.label_dictionary,
+    )
 
-    def __init__(
-        self,
-        graph: EdgeLabeledDigraph,
-        k: int,
-        *,
-        ordering: str = "in-out",
-        strategy: str = "eager",
-        use_pr1: bool = True,
-        use_pr2: bool = True,
-        use_pr3: bool = True,
-        seed: Optional[int] = None,
-        time_budget: Optional[float] = None,
-    ) -> None:
-        toggles = dict(use_pr1=use_pr1, use_pr2=use_pr2, use_pr3=use_pr3)
-        validate_build_options(k, time_budget=time_budget, **toggles)
-        if strategy not in STRATEGIES:
-            raise QueryError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-        self._graph = graph
-        self._k = k
-        self._ordering = ordering
-        self._strategy = strategy
-        self._use_pr1 = use_pr1
-        self._use_pr2 = use_pr2
-        self._use_pr3 = use_pr3
-        self._seed = seed
-        self._time_budget = time_budget
 
-    # ------------------------------------------------------------------
+def kernel_based_search(
+    origin: int,
+    direction: SearchDirection,
+    insert: Insert,
+    stats: BuildStats,
+    mr_of: Dict[Tuple[int, ...], Mr],
+    *,
+    k: int,
+    lazy: bool,
+    use_pr3: bool,
+) -> None:
+    """One kernel-based search from ``origin``: phase 1, then one kernel BFS per kernel.
 
-    def build(self) -> RlcIndex:
-        """Run Algorithm 2 and return the finished index.
+    The one search of Algorithm 2, shared by :func:`build_rlc_index`
+    (backward and forward from every vertex, with :class:`_Inserter`'s
+    pruned insert rule) and the ETC baseline (forward only, eager, with
+    PR3 off and an insert rule that records every entry).  ``insert``
+    is that rule (see ``Insert``); only PR3 (``use_pr3``) reads the
+    vertices it returns as stored.  ``lazy`` selects the lazy
+    strategy, ``mr_of`` is a minimum-repeat memo that may be shared by
+    every search of a build, and the search adds its counters and phase
+    times to ``stats``.
+    """
+    stats.kernel_searches += 1
+    started = time.perf_counter()
+    kernels = _kernel_search(origin, direction, insert, stats, mr_of, k, lazy)
+    searched = time.perf_counter()
+    stats.phase1_seconds += searched - started
+    stats.kernel_bfs_runs += len(kernels)
+    rows = direction.rows
+    for kernel, seeds in kernels.items():
+        # Eager seeds sit at a copy boundary; every lazy seed ends a
+        # sequence of length 2k, so it has 2k mod |kernel| labels of
+        # its copy matched.
+        start = 2 * k % len(kernel) if lazy else 0
+        _kernel_bfs(kernel, seeds, start, rows(kernel), insert, stats, use_pr3)
+    stats.phase2_seconds += time.perf_counter() - searched
 
-        Every call starts from fresh state: a second call returns an
-        equal index over its own entry store, and ``stats`` then holds
-        that call's counters.
-        """
-        graph = self._graph
-        n = graph.num_vertices
-        self._aid: List[int] = [0] * n
-        self._out_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
-        self._in_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
-        self._done: Set[int] = set()
-        self.stats = BuildStats()
-        started = time.perf_counter()
-        order = compute_order(graph, self._ordering, seed=self._seed)
-        for position, vertex in enumerate(order):
-            self._aid[vertex] = position + 1
-        self._order = order
-        backward = _Direction(graph, backward=True)
-        forward = _Direction(graph, backward=False)
-        mr_of: Dict[Tuple[int, ...], Mr] = {}
-        for position, vertex in enumerate(order):
-            self._kernel_based_search(vertex, backward, mr_of)
-            self._kernel_based_search(vertex, forward, mr_of)
-            # PR2 prunes the vertices whose searches already ran.
-            self._done.add(vertex)
-            if (
-                self._time_budget is not None
-                and time.perf_counter() - started > self._time_budget
-            ):
-                raise BudgetExceededError(
-                    f"index build exceeded {self._time_budget:.1f}s "
-                    f"(at vertex {position + 1}/{len(order)})"
-                )
-        self.stats.seconds = time.perf_counter() - started
-        return RlcIndex(
-            k=self._k,
-            num_vertices=graph.num_vertices,
-            num_labels=graph.num_labels,
-            order=order,
-            out_by_mr=self._out_by_mr,
-            in_by_mr=self._in_by_mr,
-            build_stats=self.stats,
-            label_dictionary=graph.label_dictionary,
-        )
 
-    # ------------------------------------------------------------------
-    # Kernel-based search
-    # ------------------------------------------------------------------
+def _kernel_search(
+    origin: int,
+    direction: SearchDirection,
+    insert: Insert,
+    stats: BuildStats,
+    mr_of: Dict[Tuple[int, ...], Mr],
+    k: int,
+    lazy: bool,
+) -> Dict[Mr, List[Set[int]]]:
+    """Phase 1: enumerate label sequences from ``origin``, insert, seed.
 
-    def _kernel_based_search(
-        self, origin: int, direction: "_Direction", mr_of: Dict[Tuple[int, ...], Mr]
-    ) -> None:
-        """One KBS from ``origin``: phase 1, then one kernel BFS per kernel.
+    The search runs level by level over sequences, not over
+    ``(vertex, sequence)`` pairs: each level maps a sequence to the
+    set of its endpoints, and one extension by a label is the union
+    of those endpoints' neighbour tuples for it.  Each endpoint of a
+    sequence of length up to ``k`` (eager) or ``2k`` (lazy) is one
+    expansion; when the sequence's minimum repeat fits the bound,
+    the entry ``(origin, MR)`` is attempted at every endpoint.
 
-        ``mr_of`` is the build's minimum-repeat memo.
-        """
-        stats = self.stats
-        stats.kernel_searches += 1
-        # Every entry this search stores lands on the side it writes
-        # (Lout for backward), so the origin's other side -- the half of
-        # PR1's probe it supplies -- is fixed until the search ends:
-        # take it once, as sets.  Without PR1 there is nothing to probe.
-        if direction.backward:
-            written, origin_side = self._out_by_mr, self._in_by_mr[origin]
-        else:
-            written, origin_side = self._in_by_mr, self._out_by_mr[origin]
-        order = self._order
-        origin_hubs: Dict[Mr, Tuple[FrozenSet[int], FrozenSet[int]]] = (
-            {
-                mr: (frozenset(hubs), frozenset([order[hub - 1] for hub in hubs]))
-                for mr, hubs in origin_side.items()
-            }
-            if self._use_pr1
-            else {}
-        )
-        insert = _Inserter(self, origin, written, origin_hubs)
-        started = time.perf_counter()
-        kernels = self._kernel_search(origin, direction, insert, mr_of)
-        searched = time.perf_counter()
-        stats.phase1_seconds += searched - started
-        stats.kernel_bfs_runs += len(kernels)
-        lazy = self._strategy == "lazy"
-        rows = direction.rows
-        for kernel, seeds in kernels.items():
-            # Eager seeds sit at a copy boundary; every lazy seed ends a
-            # sequence of length 2k, so it has 2k mod |kernel| labels of
-            # its copy matched.
-            start = 2 * self._k % len(kernel) if lazy else 0
-            self._kernel_bfs(kernel, seeds, start, rows(kernel), insert)
-        stats.phase2_seconds += time.perf_counter() - searched
-        insert.flush()
-
-    def _kernel_search(
-        self,
-        origin: int,
-        direction: "_Direction",
-        insert: "_Inserter",
-        mr_of: Dict[Tuple[int, ...], Mr],
-    ) -> Dict[Mr, List[Set[int]]]:
-        """Phase 1: enumerate label sequences from ``origin``, insert, seed.
-
-        The search runs level by level over sequences, not over
-        ``(vertex, sequence)`` pairs: each level maps a sequence to the
-        set of its endpoints, and one extension by a label is the union
-        of those endpoints' neighbour tuples for it.  Each endpoint of a
-        sequence of length up to ``k`` (eager) or ``2k`` (lazy) is one
-        expansion; when the sequence's minimum repeat fits the bound,
-        the entry ``(origin, MR)`` is attempted at every endpoint.
-
-        Returns ``{kernel: seeds}``, where ``seeds[consumed]`` holds the
-        frontier vertices with ``consumed`` labels of the current copy
-        already matched.  Eager seeds are every endpoint, at state 0 of
-        its MR (a path whose minimum repeat is ``L`` *is* a power of
-        ``L``).  Lazy kernels come only from the unique kernel/tail
-        decomposition of the length-``2k`` sequences (Theorem 1, Case
-        3), mid-copy at state ``len(tail)``.
-        """
-        k = self._k
-        lazy = self._strategy == "lazy"
-        backward = direction.backward
-        groups = direction.groups
-        decompose = suffix_kernel_decomposition if backward else kernel_decomposition
-        depth_limit = 2 * k if lazy else k
-        kernels: Dict[Mr, List[Set[int]]] = {}
-        expansions = 0
-        level: List[Tuple[Tuple[int, ...], Iterable[int]]] = [((), (origin,))]
-        for depth in range(1, depth_limit + 1):
-            deepest = depth == depth_limit
-            next_level: List[Tuple[Tuple[int, ...], Iterable[int]]] = []
-            for sequence, endpoints in level:
-                buckets: Dict[int, List[Tuple[int, ...]]] = {}
-                for vertex in endpoints:
-                    for label, neighbors in groups[vertex]:
-                        bucket = buckets.get(label)
-                        if bucket is None:
-                            buckets[label] = [neighbors]
-                        else:
-                            bucket.append(neighbors)
-                for label, parts in buckets.items():
-                    reached = set().union(*parts)
-                    expansions += len(reached)
-                    extended = (label,) + sequence if backward else sequence + (label,)
-                    mr = mr_of.get(extended)
-                    if mr is None:
-                        mr = mr_of[extended] = minimum_repeat(extended)
-                    if len(mr) <= k:
-                        insert(reached, mr)
-                        if not lazy:
-                            seeds = kernels.get(mr)
-                            if seeds is None:
-                                seeds = kernels[mr] = [set() for _ in mr]
-                            seeds[0] |= reached
-                    if not deepest:
-                        next_level.append((extended, reached))
-                    elif lazy:
-                        decomposition = decompose(extended)
-                        if decomposition is not None and len(decomposition[0]) <= k:
-                            kernel, tail = decomposition
-                            seeds = kernels.get(kernel)
-                            if seeds is None:
-                                seeds = kernels[kernel] = [set() for _ in kernel]
-                            seeds[len(tail)] |= reached
-            level = next_level
-        self.stats.phase1_expansions += expansions
-        return kernels
-
-    def _kernel_bfs(
-        self,
-        kernel: Mr,
-        seeds: List[Set[int]],
-        consumed: int,
-        adjacency: List[List[Tuple[int, ...]]],
-        insert: "_Inserter",
-    ) -> None:
-        """Phase 2: continue the search guided by ``(kernel)+``.
-
-        ``seeds[i]`` is the visited set of state ``i`` (``i`` labels of
-        the current copy matched); phase 1 put every seed at state
-        ``consumed``.  ``adjacency[i]`` is the label-major row of the
-        label read at state ``i`` (backward searches consume the kernel
-        right-to-left).  The run is level-synchronous: one frontier
-        moves round the ``m`` states, so each step is one union of
-        neighbour tuples and one set difference, and every new vertex at
-        state 0 -- a copy boundary -- gets one insert attempt of
-        ``(origin, kernel)``.  That visit order stores and counts exactly
-        what any other would (module docstring, "Order inside a
-        search"): a boundary vertex's outcome reads only its own hub
-        list for ``kernel`` and the origin's fixed side, and
-        ``boundary`` lets it be attempted once.
-        """
-        m = len(kernel)
-        use_pr3 = self._use_pr3
-        boundary = seeds[0]
-        frontier: Iterable[int] = seeds[consumed]
-        expansions = pr3_stops = 0
-        while frontier:
-            step = adjacency[consumed]
-            reached = set(chain.from_iterable(map(step.__getitem__, frontier)))
-            consumed += 1
-            if consumed < m:
-                reached -= seeds[consumed]
-                seeds[consumed] |= reached
+    Returns ``{kernel: seeds}``, where ``seeds[consumed]`` holds the
+    frontier vertices with ``consumed`` labels of the current copy
+    already matched.  Eager seeds are every endpoint, at state 0 of
+    its MR (a path whose minimum repeat is ``L`` *is* a power of
+    ``L``).  Lazy kernels come only from the unique kernel/tail
+    decomposition of the length-``2k`` sequences (Theorem 1, Case
+    3), mid-copy at state ``len(tail)``.
+    """
+    backward = direction.backward
+    groups = direction.groups
+    decompose = suffix_kernel_decomposition if backward else kernel_decomposition
+    depth_limit = 2 * k if lazy else k
+    kernels: Dict[Mr, List[Set[int]]] = {}
+    expansions = 0
+    level: List[Tuple[Tuple[int, ...], Iterable[int]]] = [((), (origin,))]
+    for depth in range(1, depth_limit + 1):
+        deepest = depth == depth_limit
+        next_level: List[Tuple[Tuple[int, ...], Iterable[int]]] = []
+        for sequence, endpoints in level:
+            buckets: Dict[int, List[Tuple[int, ...]]] = {}
+            for vertex in endpoints:
+                for label, neighbors in groups[vertex]:
+                    bucket = buckets.get(label)
+                    if bucket is None:
+                        buckets[label] = [neighbors]
+                    else:
+                        bucket.append(neighbors)
+            for label, parts in buckets.items():
+                reached = set().union(*parts)
                 expansions += len(reached)
-                frontier = reached
-                continue
-            consumed = 0
-            reached -= boundary
-            boundary |= reached
+                extended = (label,) + sequence if backward else sequence + (label,)
+                mr = mr_of.get(extended)
+                if mr is None:
+                    mr = mr_of[extended] = minimum_repeat(extended)
+                if len(mr) <= k:
+                    insert(reached, mr)
+                    if not lazy:
+                        seeds = kernels.get(mr)
+                        if seeds is None:
+                            seeds = kernels[mr] = [set() for _ in mr]
+                        seeds[0] |= reached
+                if not deepest:
+                    next_level.append((extended, reached))
+                elif lazy:
+                    decomposition = decompose(extended)
+                    if decomposition is not None and len(decomposition[0]) <= k:
+                        kernel, tail = decomposition
+                        seeds = kernels.get(kernel)
+                        if seeds is None:
+                            seeds = kernels[kernel] = [set() for _ in kernel]
+                        seeds[len(tail)] |= reached
+        level = next_level
+    stats.phase1_expansions += expansions
+    return kernels
+
+
+def _kernel_bfs(
+    kernel: Mr,
+    seeds: List[Set[int]],
+    consumed: int,
+    adjacency: List[List[Tuple[int, ...]]],
+    insert: Insert,
+    stats: BuildStats,
+    use_pr3: bool,
+) -> None:
+    """Phase 2: continue the search guided by ``(kernel)+``.
+
+    ``seeds[i]`` is the visited set of state ``i`` (``i`` labels of
+    the current copy matched); phase 1 put every seed at state
+    ``consumed``.  ``adjacency[i]`` is the label-major row of the
+    label read at state ``i`` (backward searches consume the kernel
+    right-to-left).  The run is level-synchronous: one frontier
+    moves round the ``m`` states, so each step is one union of
+    neighbour tuples and one set difference, and every new vertex at
+    state 0 -- a copy boundary -- gets one insert attempt of
+    ``(origin, kernel)``.  That visit order stores and counts exactly
+    what any other would (module docstring, "Order inside a
+    search"): a boundary vertex's outcome reads only its own hub
+    list for ``kernel`` and the origin's fixed side, and
+    ``boundary`` lets it be attempted once.
+    """
+    m = len(kernel)
+    boundary = seeds[0]
+    frontier: Iterable[int] = seeds[consumed]
+    expansions = pr3_stops = 0
+    while frontier:
+        step = adjacency[consumed]
+        reached = set(chain.from_iterable(map(step.__getitem__, frontier)))
+        consumed += 1
+        if consumed < m:
+            reached -= seeds[consumed]
+            seeds[consumed] |= reached
             expansions += len(reached)
-            if reached:
-                stored = insert(reached, kernel)
-                if use_pr3:
-                    pr3_stops += len(reached) - len(stored)
-                    frontier = stored
-                    continue
             frontier = reached
-        self.stats.phase2_expansions += expansions
-        self.stats.pr3_stops += pr3_stops
+            continue
+        consumed = 0
+        reached -= boundary
+        boundary |= reached
+        expansions += len(reached)
+        if reached:
+            stored = insert(reached, kernel)
+            if use_pr3:
+                pr3_stops += len(reached) - len(stored)
+                frontier = stored
+                continue
+        frontier = reached
+    stats.phase2_expansions += expansions
+    stats.pr3_stops += pr3_stops
 
 
-class _Direction:
-    """The graph as one kernel-based search direction reads it."""
+class SearchDirection:
+    """The graph as one kernel-based search direction reads it.
+
+    Built once per build and direction; :func:`kernel_based_search`
+    reads its ``groups`` in phase 1 and its :meth:`rows` in phase 2.
+    """
 
     __slots__ = ("view", "groups", "backward", "_rows")
 
@@ -412,16 +415,26 @@ class _Inserter:
 
     def __init__(
         self,
-        builder: RlcIndexBuilder,
-        origin: int,
+        stats: BuildStats,
+        done: Optional[Set[int]],
+        origin_aid: int,
         written: List[Dict[Mr, List[int]]],
-        origin_hubs: Dict[Mr, Tuple[FrozenSet[int], FrozenSet[int]]],
+        origin_side: Optional[Dict[Mr, List[int]]],
+        order: List[int],
     ) -> None:
-        self._stats = builder.stats
-        self._done = builder._done if builder._use_pr2 else None
-        self._origin_aid = builder._aid[origin]
+        self._stats = stats
+        self._done = done
+        self._origin_aid = origin_aid
         self._written = written
-        self._origin_hubs = origin_hubs
+        # Without PR1 (``origin_side`` None) there is nothing to probe.
+        self._origin_hubs: Dict[Mr, Tuple[FrozenSet[int], FrozenSet[int]]] = (
+            {
+                mr: (frozenset(hubs), frozenset([order[hub - 1] for hub in hubs]))
+                for mr, hubs in origin_side.items()
+            }
+            if origin_side is not None
+            else {}
+        )
         self._attempts = self._inserted = self._duplicates = 0
         self._pruned_pr1 = self._pruned_pr2 = 0
 
@@ -470,40 +483,3 @@ class _Inserter:
         stats.duplicates += self._duplicates
         stats.pruned_pr1 += self._pruned_pr1
         stats.pruned_pr2 += self._pruned_pr2
-
-
-def build_rlc_index(
-    graph: EdgeLabeledDigraph,
-    k: int,
-    *,
-    ordering: str = "in-out",
-    strategy: str = "eager",
-    use_pr1: bool = True,
-    use_pr2: bool = True,
-    use_pr3: bool = True,
-    seed: Optional[int] = None,
-    time_budget: Optional[float] = None,
-) -> RlcIndex:
-    """Build an RLC index — the one-call public entry point.
-
-    See :class:`RlcIndexBuilder` for the parameter semantics.
-
-    >>> from repro.graph.generators import paper_figure1
-    >>> g = paper_figure1()
-    >>> index = build_rlc_index(g, k=2)
-    >>> a14, a19 = 5, 9  # vertex ids of accounts A14 and A19
-    >>> index.query(a14, a19, g.encode_sequence(("debits", "credits")))
-    True
-    """
-    builder = RlcIndexBuilder(
-        graph,
-        k,
-        ordering=ordering,
-        strategy=strategy,
-        use_pr1=use_pr1,
-        use_pr2=use_pr2,
-        use_pr3=use_pr3,
-        seed=seed,
-        time_budget=time_budget,
-    )
-    return builder.build()

@@ -407,31 +407,58 @@ class RlcIndex:
                     raise SerializationError(
                         f"unsupported index format version {version} in {path}"
                     )
+                k = int(archive["k"])
                 num_vertices = int(archive["num_vertices"])
+                num_labels = int(archive["num_labels"])
+                order = archive["order"]
+                owners = archive["owners"]
+                sides = archive["sides"]
+                hubs = archive["hubs"]
+                lengths = archive["lengths"]
+                flat = archive["flat_labels"]
+                problem = _archive_problem(
+                    k, num_vertices, num_labels, order, owners, sides, hubs, lengths, flat
+                )
+                if problem is not None:
+                    raise SerializationError(f"malformed index archive {path}: {problem}")
                 out_by_mr: List[HubLists] = [{} for _ in range(num_vertices)]
                 in_by_mr: List[HubLists] = [{} for _ in range(num_vertices)]
-                owners = archive["owners"].tolist()
-                sides = archive["sides"].tolist()
-                hubs = archive["hubs"].tolist()
-                lengths = archive["lengths"].tolist()
-                flat = archive["flat_labels"].tolist()
+                flat = flat.tolist()
                 cursor = 0
                 # save writes each vertex's entries by (hub_aid, mr), so
-                # every hub list is rebuilt in ascending order.
-                for owner, side, hub, length in zip(owners, sides, hubs, lengths):
+                # every hub list is rebuilt in strictly ascending order;
+                # one that is not comes from a tampered archive.
+                for owner, side, hub, length in zip(
+                    owners.tolist(), sides.tolist(), hubs.tolist(), lengths.tolist()
+                ):
                     mr = tuple(flat[cursor : cursor + length])
                     cursor += length
                     by_mr = (out_by_mr if side == 0 else in_by_mr)[owner]
-                    by_mr.setdefault(mr, []).append(hub)
+                    hub_list = by_mr.get(mr)
+                    if hub_list is None:
+                        by_mr[mr] = [hub]
+                    elif hub_list[-1] < hub:
+                        hub_list.append(hub)
+                    else:
+                        raise SerializationError(
+                            f"malformed index archive {path}: the hub list of "
+                            f"vertex {owner} for {mr} is not strictly ascending"
+                        )
                 names = archive["label_names"].tolist()
+                labels = LabelDictionary(names) if names else None
+                if labels is not None and len(labels) != num_labels:
+                    raise SerializationError(
+                        f"malformed index archive {path}: {len(labels)} distinct "
+                        f"label names for {num_labels} labels"
+                    )
                 return cls(
-                    k=int(archive["k"]),
+                    k=k,
                     num_vertices=num_vertices,
-                    num_labels=int(archive["num_labels"]),
-                    order=archive["order"].tolist(),
+                    num_labels=num_labels,
+                    order=order.tolist(),
                     out_by_mr=out_by_mr,
                     in_by_mr=in_by_mr,
-                    label_dictionary=LabelDictionary(names) if names else None,
+                    label_dictionary=labels,
                 )
         except SerializationError:
             raise
@@ -439,6 +466,38 @@ class RlcIndex:
             raise SerializationError(
                 f"failed to load index from {path}: {exc}"
             ) from exc
+
+
+def _archive_problem(
+    k, num_vertices, num_labels, order, owners, sides, hubs, lengths, flat
+) -> Optional[str]:
+    """What makes an index archive's arrays inconsistent, or ``None``.
+
+    A malformed archive would otherwise load and answer wrongly: the
+    order must be a permutation of the vertices, every entry needs an
+    owner vertex, a side (0 for ``Lout``, 1 for ``Lin``), a hub access
+    id in ``1..num_vertices`` and an MR of 1 to ``k`` labels, each below
+    ``num_labels``, and the MR lengths must use up ``flat_labels``.
+    """
+    if len(order) != num_vertices or not np.array_equal(
+        np.sort(order), np.arange(num_vertices)
+    ):
+        return f"order is not a permutation of range({num_vertices})"
+    if not len(owners) == len(sides) == len(hubs) == len(lengths):
+        return "owners, sides, hubs and lengths differ in length"
+    if owners.size and (owners.min() < 0 or owners.max() >= num_vertices):
+        return f"an owner is outside range({num_vertices})"
+    if sides.size and (sides.min() < 0 or sides.max() > 1):
+        return "a side is neither 0 nor 1"
+    if hubs.size and (hubs.min() < 1 or hubs.max() > num_vertices):
+        return f"a hub access id is outside 1..{num_vertices}"
+    if lengths.size and (lengths.min() < 1 or lengths.max() > k):
+        return f"an MR length is outside 1..{k}"
+    if int(lengths.sum()) != len(flat):
+        return "the MR lengths do not sum to the number of flat labels"
+    if flat.size and (flat.min() < 0 or flat.max() >= num_labels):
+        return f"a label is outside range({num_labels})"
+    return None
 
 
 def _sorted_entries(by_mr: HubLists) -> List[Entry]:

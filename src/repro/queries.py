@@ -264,16 +264,19 @@ def _is_integer(value) -> bool:
     return True
 
 
-def validate_build_options(k, *, time_budget=None, max_entries=None, **toggles) -> None:
-    """Reject an index build's ``k``, budgets and toggles of the wrong type.
+def validate_build_options(
+    k, *, time_budget=None, max_entries=None, seed=None, **toggles
+) -> None:
+    """Reject an index build's ``k``, budgets, seed and toggles of the wrong type.
 
     Engine-spec values arrive from text (``"rlc?k=x"``), so a wrong type
     must fail here as a :class:`QueryError`, not as a ``TypeError``
     inside the build or as a silently different build.  ``k`` is an
     integer >= 1, ``time_budget`` a real number of seconds >= 0 (not
-    NaN) or ``None`` and ``max_entries`` an integer >= 0 or ``None``;
-    bools are refused for all three.  A negative budget would only let
-    the build run one step and then fail as "exceeded".  Each of
+    NaN) or ``None``, ``max_entries`` an integer >= 0 or ``None`` and
+    ``seed`` an integer or ``None``; bools are refused for all four.  A
+    negative budget would only let the build run one step and then fail
+    as "exceeded".  Each of
     ``toggles`` (``use_pr1`` ...) is a bool or the integer 0 or 1.
     """
     if not _is_integer(k) or k < 1:
@@ -294,3 +297,5 @@ def validate_build_options(k, *, time_budget=None, max_entries=None, **toggles) 
         raise QueryError(
             f"max_entries must be an integer >= 0 or None, got {max_entries!r}"
         )
+    if seed is not None and not _is_integer(seed):
+        raise QueryError(f"seed must be an integer or None, got {seed!r}")

@@ -213,7 +213,9 @@ class TestQueryEndpoint:
         assert status == 400
         assert f"unknown engine '{spec}'" in body["error"]
 
-    @pytest.mark.parametrize("spec", ["rlc?k=x", "rlc?time_budget=abc"])
+    @pytest.mark.parametrize(
+        "spec", ["rlc?k=x", "rlc?time_budget=abc", "rlc?ordering=random&seed=abc"]
+    )
     def test_wrongly_typed_spec_value_is_400(self, server, spec):
         status, body = post(
             server,

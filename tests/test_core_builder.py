@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.core import RlcIndexBuilder, build_rlc_index
+from repro.core import build_rlc_index
 from repro.errors import BudgetExceededError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
 
@@ -46,9 +46,8 @@ class TestPruningAblations:
         assert pruned.num_entries <= unpruned.num_entries
 
     def test_stats_counters_consistent(self, fig2):
-        builder = RlcIndexBuilder(fig2, 2)
-        index = builder.build()
-        stats = builder.stats
+        index = build_rlc_index(fig2, 2)
+        stats = index.build_stats
         assert stats.inserted == index.num_entries == 26
         assert (
             stats.inserted + stats.duplicates + stats.pruned_pr1 + stats.pruned_pr2
@@ -57,26 +56,23 @@ class TestPruningAblations:
         assert stats.kernel_searches == 2 * fig2.num_vertices
         assert stats.seconds > 0
         assert 0 < stats.phase1_seconds + stats.phase2_seconds <= stats.seconds
-        assert index.build_stats is stats
 
     def test_disabled_rules_record_zero(self, fig2):
-        builder = RlcIndexBuilder(fig2, 2, use_pr1=False, use_pr2=False, use_pr3=False)
-        builder.build()
-        assert builder.stats.pruned_pr1 == 0
-        assert builder.stats.pruned_pr2 == 0
-        assert builder.stats.pr3_stops == 0
+        stats = build_rlc_index(
+            fig2, 2, use_pr1=False, use_pr2=False, use_pr3=False
+        ).build_stats
+        assert stats.pruned_pr1 == 0
+        assert stats.pruned_pr2 == 0
+        assert stats.pr3_stops == 0
 
     def test_stats_as_dict(self, fig2):
-        builder = RlcIndexBuilder(fig2, 2)
-        builder.build()
-        flat = builder.stats.as_dict()
+        flat = build_rlc_index(fig2, 2).build_stats.as_dict()
         assert flat["inserted"] == 26
         assert "pruned_pr1" in flat
 
     def test_second_build_starts_fresh(self, fig2):
-        builder = RlcIndexBuilder(fig2, 2)
-        first = builder.build()
-        second = builder.build()
+        first = build_rlc_index(fig2, 2)
+        second = build_rlc_index(fig2, 2)
 
         def counts(index):
             stats = index.build_stats.as_dict()
@@ -103,16 +99,14 @@ class TestLazyStrategy:
         _assert_sound_complete(graph, index, k)
 
     def test_lazy_explores_deeper_in_phase1(self, fig2):
-        eager = RlcIndexBuilder(fig2, 2, strategy="eager")
-        lazy = RlcIndexBuilder(fig2, 2, strategy="lazy")
-        eager.build()
-        lazy.build()
+        eager = build_rlc_index(fig2, 2, strategy="eager").build_stats
+        lazy = build_rlc_index(fig2, 2, strategy="lazy").build_stats
         # Lazy expands raw paths to depth 2k instead of k.
-        assert lazy.stats.phase1_expansions > eager.stats.phase1_expansions
+        assert lazy.phase1_expansions > eager.phase1_expansions
 
     def test_unknown_strategy(self, fig2):
         with pytest.raises(QueryError, match="strategy"):
-            RlcIndexBuilder(fig2, 2, strategy="wrong")
+            build_rlc_index(fig2, 2, strategy="wrong")
 
 
 class TestOrderings:

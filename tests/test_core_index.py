@@ -205,6 +205,48 @@ class TestPersistence:
         assert loaded.label_dictionary is not None
         assert loaded.label_dictionary.id_of("l2") == 1
 
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            pytest.param("order", lambda a: a.__setitem__(1, a[0]), id="order-duplicate"),
+            pytest.param("order", lambda a: a.__setitem__(0, 6), id="order-out-of-range"),
+            pytest.param("hubs", lambda a: a.__setitem__(slice(None), a[::-1].copy()), id="hubs-shuffled"),
+            pytest.param("hubs", lambda a: a.__setitem__(0, 0), id="hub-zero"),
+            pytest.param("hubs", lambda a: a.__setitem__(0, 7), id="hub-above-n"),
+            pytest.param("sides", lambda a: a.__setitem__(slice(None), 2), id="sides-2"),
+            pytest.param("owners", lambda a: a.__setitem__(0, -1), id="owner-negative"),
+            pytest.param("owners", lambda a: a.__setitem__(0, 6), id="owner-above-n"),
+            pytest.param("lengths", lambda a: a.__setitem__(0, a[0] + 1), id="lengths-sum"),
+            pytest.param("lengths", lambda a: a.__setitem__(slice(0, 2), (0, a[0] + a[1])), id="length-zero"),
+            pytest.param("lengths", lambda a: a.__setitem__(slice(0, 2), (3, a[0] + a[1] - 3)), id="length-above-k"),
+            pytest.param("flat_labels", lambda a: a.__setitem__(0, 3), id="label-above-num-labels"),
+            pytest.param("flat_labels", lambda a: a.__setitem__(0, -1), id="label-negative"),
+            pytest.param("label_names", lambda a: a.__setitem__(0, a[1]), id="label-names-duplicate"),
+        ],
+    )  # fmt: skip
+    def test_malformed_archive_rejected(self, tmp_path, fig2_index, name, change):
+        """A tampered archive fails to load rather than answer wrongly."""
+        arrays = _saved_arrays(tmp_path, fig2_index, keep_label_names=True)
+        change(arrays[name])
+        path = tmp_path / "tampered.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(SerializationError):
+            RlcIndex.load(path)
+
+    def test_unequal_entry_arrays_rejected(self, tmp_path, fig2_index):
+        arrays = _saved_arrays(tmp_path, fig2_index, keep_label_names=True)
+        arrays["owners"] = arrays["owners"][:-1]
+        path = tmp_path / "tampered.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(SerializationError):
+            RlcIndex.load(path)
+
+    def test_untampered_copy_loads(self, tmp_path, fig2_index):
+        arrays = _saved_arrays(tmp_path, fig2_index, keep_label_names=True)
+        path = tmp_path / "copy.npz"
+        np.savez(path, **arrays)
+        assert RlcIndex.load(path).num_entries == fig2_index.num_entries
+
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.npz"
         path.write_bytes(b"garbage")
@@ -226,12 +268,16 @@ class _CreatesMarker:
         return (os.mkdir, (self.path,))
 
 
-def _saved_arrays(tmp_path, index):
-    """The numeric arrays of ``index``'s saved archive, label names left out."""
+def _saved_arrays(tmp_path, index, *, keep_label_names=False):
+    """The arrays of ``index``'s saved archive, label names left out unless kept."""
     path = tmp_path / "index.npz"
     index.save(path)
     with np.load(path, allow_pickle=False) as archive:
-        return {name: archive[name] for name in archive.files if name != "label_names"}
+        return {
+            name: archive[name]
+            for name in archive.files
+            if keep_label_names or name != "label_names"
+        }
 
 
 class TestLoadRunsNoCode:

@@ -121,11 +121,18 @@ class TestSpecs:
             "rlc?time_budget=-1",
             "etc?time_budget=-1",
             "etc?max_entries=-1",
+            "rlc?ordering=random&seed=abc",
+            "rlc?ordering=random&seed=1.5",
+            "rlc?ordering=random&seed=true",
         ],
     )
     def test_wrongly_typed_spec_values_rejected(self, spec, fig2):
         with pytest.raises(ReproError, match="must be"):
             create_engine(spec, fig2)
+
+    def test_integer_seed_accepted(self, fig2):
+        engine = create_engine("rlc?ordering=random&seed=3", fig2)
+        assert engine.query_prepared((1, 0), 2, 5) is True
 
     def test_numpy_integer_k_accepted(self, fig2):
         assert create_engine("rlc", fig2, k=np.int64(3)).k == 3

@@ -44,6 +44,8 @@ DOCSTRING_GUARDED = (
     "repro.engine.base",
     "repro.engine.service",
     "repro.api.session",
+    "repro.core.builder",
+    "repro.baselines.etc",
 )
 
 
