@@ -9,10 +9,10 @@ one process owns the prepared engines and answers a stream of queries.
 - ``GET /stats`` — per-spec service counters (cache hits, engine
   timings ...);
 - ``POST /prepare`` — compile a constraint once: ``{"labels": [1, 0]}``
-  returns the prepared constraint's normalized labels, digest and
-  the serving engine's id; subsequent
-  ``/query`` calls under the same constraint hit the server-side
-  prepared memo;
+  returns the prepared constraint's normalized labels (the identity
+  its answers are cached under), its text in the paper's notation and
+  the serving engine's id; subsequent ``/query`` calls under the same
+  constraint hit the server-side prepared memo;
 - ``POST /query`` — one query: ``{"source": 0, "target": 5, "labels":
   [1, 0]}``; the response is the structured
   :class:`~repro.engine.QueryOutcome` JSON (answer, engine id,

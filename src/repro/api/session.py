@@ -135,7 +135,7 @@ class Session:
         self._name = name
         self._default_spec = default_spec
         self._cache_size = cache_size
-        self._digest: Optional[str] = None
+        self._graph_digest: Optional[str] = None
         # Raw (spec, options) keys and canonical keys alike map to the
         # service that owns an engine; equivalent spellings share one.
         # Read without the lock; written only under it.
@@ -219,9 +219,9 @@ class Session:
     @property
     def graph_digest(self) -> Optional[str]:
         """Stable content digest of the graph (None without a graph)."""
-        if self._digest is None and self._graph is not None:
-            self._digest = self._graph.content_digest()
-        return self._digest
+        if self._graph_digest is None and self._graph is not None:
+            self._graph_digest = self._graph.content_digest()
+        return self._graph_digest
 
     def _named_services(self) -> Dict[str, QueryService]:
         """Each distinct service, under the spec spelling that created it."""
@@ -310,8 +310,8 @@ class Session:
 
         The session face of the prepared lifecycle: the returned
         :class:`~repro.engine.PreparedQuery` is reusable across every
-        ``(source, target)`` pair, and its digest is the identity the
-        spec's result cache keys answers on.
+        ``(source, target)`` pair, and its normalized labels are the
+        identity the spec's result cache keys answers on.
         """
         return self.service(engine, **engine_options).prepare(labels)
 
@@ -405,14 +405,15 @@ class Session:
 
         Returns a plain dict (JSON-ready; the replay server exposes it
         verbatim) built from the :class:`~repro.queries.QueryOutcome`:
-        the answer, the engine spec and engine id that produced it,
-        whether the result cache served it, the prepared constraint's
-        digest, wall time, and — for true answers when the session has
-        a graph — a shortest witness path.
+        the query with its normalized labels, the answer, the engine
+        spec and engine id that produced it, whether the result cache
+        served it, wall time, and — for true answers when the session
+        has a graph — a shortest witness path.
         """
         spec = engine or self._default_spec
-        service = self.service(spec, **engine_options)
-        outcome = service.query_outcome(source, target, labels)
+        outcome = self.service(spec, **engine_options).query_outcome(
+            source, target, labels
+        )
         if witness and self._graph is not None:
             self._attach_witness(outcome)
         explanation: Dict[str, object] = {
@@ -427,7 +428,6 @@ class Session:
             "cached": outcome.cached,
             "seconds": outcome.seconds,
         }
-        explanation["constraint_digest"] = service.prepare(labels).digest
         if outcome.witness is not None:
             vertices, path_labels = outcome.witness
             explanation["witness"] = {

@@ -5,9 +5,8 @@ traversal through one lookup interface, whatever the answerer is.
 This module defines that contract for the repro library:
 
 - :class:`PreparedQuery` — an RLC constraint validated **once**
-  (normalized labels, lazily compiled constraint automaton, stable
-  digest) and reusable across any ``(source, target)`` pair and across
-  engines;
+  (normalized labels, lazily compiled constraint automaton) and
+  reusable across any ``(source, target)`` pair and across engines;
 - :class:`EngineBase` — the contract (``name``, ``prepare``,
   ``prepare_query``, ``query_prepared``, ``query_batch``) that callers
   such as :class:`repro.engine.QueryService` and the benchmark harness
@@ -25,15 +24,16 @@ An adapter supplies exactly two hooks: ``_prepare(graph)`` builds its
 backend, and ``_evaluate(backend, prepared, source, target) -> bool``
 answers one query whose constraint and endpoints are already
 validated.  Everything else lives here, once, and applies the rules of
-:mod:`repro.queries`: :meth:`~EngineBase.prepare_query` validates a
-constraint against the engine's label universe and recursive bound;
-:meth:`~EngineBase.query_prepared` checks the endpoints and calls
-``_evaluate``; :meth:`~EngineBase.query_batch`
-prepares each distinct constraint of a batch once and calls
-``_evaluate`` per query.  A one-off point query is
-``engine.query_prepared(labels, source, target)``: it prepares
-the constraint on that call, so callers issuing many queries under few
-constraints should prepare once and re-use
+:mod:`repro.queries`, once per query: :meth:`~EngineBase.prepare_query`
+validates a constraint against the engine's label universe and
+recursive bound, and stamps the :class:`PreparedQuery` it builds with
+the engine's backend, so that object later passes through unchecked;
+:meth:`~EngineBase.query_prepared` is the one place that checks
+endpoints and calls ``_evaluate``, and both
+:meth:`~EngineBase.query_batch` and the service answer through it.
+A one-off point query is ``engine.query_prepared(labels, source,
+target)``: it prepares the constraint on that call, so callers issuing
+many queries under few constraints should prepare once and re-use
 (``benchmarks/bench_micro_operations.py`` pins prepared re-use and
 batching at >= 1.3x over preparing per call on shared-constraint
 workloads).  The benchmark harness times ``_evaluate`` alone.
@@ -46,7 +46,6 @@ Adapters for the concrete answerers live in
 from __future__ import annotations
 
 import time
-from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.automata.compile import constraint_automaton
@@ -78,20 +77,19 @@ class PreparedQuery:
     Construction validates the labels against a universe of
     ``num_labels`` labels (:func:`repro.queries.validate_constraint_labels`);
     :meth:`EngineBase.prepare_query` also checks the engine's recursive
-    bound.  The derived artifacts — the cyclic constraint automaton and
-    the stable cache digest — are computed lazily and memoized, so
-    engines that never need one (the RLC index answers without an NFA)
-    never pay for it.  Prepared queries are equal (and hash) by their normalized
-    label tuple.
+    bound.  The cyclic constraint automaton is compiled lazily and
+    memoized, so engines that never need it (the RLC index answers
+    without an NFA) never pay for it.  Prepared queries are equal (and
+    hash) by their normalized label tuple, which is also the identity
+    the service's result cache keys on.
     """
 
     __slots__ = (
         "labels",
-        "num_labels",
         "engine",
+        "_checked_by",
         "_max_label",
         "_nfa",
-        "_digest",
     )
 
     def __init__(
@@ -102,11 +100,11 @@ class PreparedQuery:
         engine: str = "",
     ) -> None:
         self.labels = validate_constraint_labels(num_labels, labels)
-        self.num_labels = num_labels
         self.engine = engine
+        # The backend of the engine that built this; see prepare_query.
+        self._checked_by = None
         self._max_label = max(self.labels)
         self._nfa: Optional[Nfa] = None
-        self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Compiled artifacts (lazy, memoized)
@@ -129,21 +127,6 @@ class PreparedQuery:
             self._nfa = constraint_automaton(self.labels)
         return self._nfa
 
-    @property
-    def digest(self) -> str:
-        """Stable hex digest of the normalized constraint.
-
-        Keys the service's result cache — two spellings of the same
-        constraint (lists, numpy ints) share one digest, and the digest
-        never collides across lengths.
-        """
-        if self._digest is None:
-            text = f"{len(self.labels)}:" + ",".join(
-                str(label) for label in self.labels
-            )
-            self._digest = sha256(text.encode("utf-8")).hexdigest()[:16]
-        return self._digest
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -158,7 +141,6 @@ class PreparedQuery:
             "labels": list(self.labels),
             "constraint": self.constraint_text(),
             "m": self.m,
-            "digest": self.digest,
             "engine": self.engine,
         }
 
@@ -172,8 +154,7 @@ class PreparedQuery:
 
     def __repr__(self) -> str:
         return (
-            f"PreparedQuery({self.constraint_text()}, "
-            f"digest={self.digest!r}, engine={self.engine!r})"
+            f"PreparedQuery({self.constraint_text()}, engine={self.engine!r})"
         )
 
 
@@ -256,16 +237,20 @@ class EngineBase:
         check, the recursive-bound check — once; the returned object
         answers any ``(source, target)`` pair through
         :meth:`query_prepared` and is reusable across engines serving
-        the same graph.  A :class:`PreparedQuery` (possibly built by
-        another engine) passes through after the label-universe and
-        recursive-bound checks.  Validation runs against the bound
-        graph or, for an engine adopted around a loaded index, the
-        index itself.
+        the same graph.  Validation runs against the bound graph or,
+        for an engine adopted around a loaded index, the index itself.
+
+        The object built here carries the engine's current backend, and
+        passes back through unchanged.  Any other :class:`PreparedQuery`
+        (built by another engine, by hand, or before a later
+        :meth:`prepare`) passes through after the label-universe and
+        recursive-bound checks, and is not stamped.
         """
-        surface = self._graph
-        if surface is None:
-            surface = self.backend  # raises before prepare()
+        backend = self.backend  # raises before prepare()
+        surface = self._graph if self._graph is not None else backend
         if isinstance(constraint, PreparedQuery):
+            if constraint._checked_by is backend:
+                return constraint
             prepared = constraint
             if prepared.max_label >= surface.num_labels:
                 raise QueryError(
@@ -278,6 +263,7 @@ class EngineBase:
             prepared = PreparedQuery(
                 constraint, num_labels=surface.num_labels, engine=self.name
             )
+            prepared._checked_by = backend
         k = self._k
         if k is not None and len(prepared.labels) > k:
             raise CapabilityError(
@@ -292,9 +278,11 @@ class EngineBase:
     ) -> bool:
         """Answer one query: does a path ``source -> target`` match ``L+``?
 
-        The constraint passes through :meth:`prepare_query` (a re-check
-        for a :class:`PreparedQuery`, full validation otherwise) and the
-        endpoints are checked before ``_evaluate`` runs.
+        The one place an engine checks endpoints and calls
+        ``_evaluate``.  The constraint passes through
+        :meth:`prepare_query`: free for one this engine prepared, a
+        re-check for any other :class:`PreparedQuery`, full validation
+        for raw labels.
         """
         backend = self.backend  # raises before prepare()
         prepared = self.prepare_query(prepared)
@@ -308,12 +296,10 @@ class EngineBase:
 
         Each distinct constraint is prepared once per batch (a memo hit
         counts only under :func:`repro.queries.plain_labels`); every
-        query then costs an endpoint check and one ``_evaluate`` call.
-        A malformed query raises the error its point query would.
+        query is then answered by :meth:`query_prepared`.  A malformed
+        query raises the error its point query would.
         """
-        backend = self.backend
-        surface = self._graph if self._graph is not None else backend
-        evaluate = self._evaluate
+        query_prepared = self.query_prepared
         prepared_for: Dict[Tuple[int, ...], PreparedQuery] = {}
         answers: List[bool] = []
         for query in queries:
@@ -321,9 +307,7 @@ class EngineBase:
             prepared = prepared_for.get(labels)
             if prepared is None or not plain_labels(labels):
                 prepared = prepared_for[labels] = self.prepare_query(labels)
-            source = checked_vertex(surface, query.source, "source")
-            target = checked_vertex(surface, query.target, "target")
-            answers.append(bool(evaluate(backend, prepared, source, target)))
+            answers.append(query_prepared(prepared, query.source, query.target))
         return answers
 
     def __repr__(self) -> str:

@@ -1,12 +1,11 @@
 """A batching, caching query service.
 
-:class:`QueryService` is the serving-layer entry point the ROADMAP's
-scaling work builds on: it hands the uncached queries of a workload to
-one ``query_batch`` call of its engine (which validates, and for the
-online answerers compiles, each distinct constraint once per batch),
-memoizes answers in a bounded LRU cache, keeps hit-rate and timing
-counters, and verifies answers against the ground truth that workload
-files carry in :attr:`RlcQuery.expected`.
+:class:`QueryService` is the serving-layer entry point: it prepares
+each distinct constraint of a workload once, answers the distinct
+uncached queries through its engine's ``query_prepared``, memoizes
+answers in a bounded LRU cache, keeps hit-rate and timing counters,
+and verifies answers against the ground truth that workload files
+carry in :attr:`RlcQuery.expected`.
 
     service = QueryService(create_engine("rlc-index", graph, k=2))
     report = service.run(workload)
@@ -17,9 +16,10 @@ files carry in :attr:`RlcQuery.expected`.
 The service speaks the **prepared-query protocol** natively: each
 distinct constraint is compiled once through the engine's
 ``prepare_query`` and memoized, and the LRU is keyed on the prepared
-constraint's stable :attr:`~repro.engine.base.PreparedQuery.digest`
-rather than a raw label spelling, so equivalent spellings (lists,
-numpy ints) share one entry.  :meth:`query_outcome` answers one query
+constraint's normalized label tuple rather than a raw label spelling,
+so equivalent spellings (lists, numpy ints) share one entry.  A miss
+is evaluated with that prepared query, which the engine built and so
+does not check again.  :meth:`query_outcome` answers one query
 with the full :class:`~repro.queries.QueryOutcome`, ``cached`` set when
 the LRU served it; it is the one place an outcome is built.
 
@@ -42,8 +42,8 @@ from repro.queries import QueryOutcome, RlcQuery, plain_labels, vertex_id
 
 __all__ = ["QueryService", "ServiceReport"]
 
-#: Result-cache key: ``(source, target, prepared-constraint digest)``.
-CacheKey = Tuple[int, int, str]
+#: Result-cache key: ``(source, target, normalized label tuple)``.
+CacheKey = Tuple[int, int, Tuple[int, ...]]
 
 #: Bound on the prepared-constraint memo (distinct constraints are few
 #: in practice; this only guards against adversarial workloads).
@@ -59,7 +59,7 @@ class ServiceReport:
     seconds: float
     cache_hits: int
     cache_misses: int
-    #: ``query_batch`` calls the run made: 1, or 0 when fully cached.
+    #: 1 when the run reached the engine, 0 when fully cached.
     batches: int
     mismatches: List[Tuple[RlcQuery, bool]] = field(default_factory=list)
 
@@ -125,7 +125,7 @@ class QueryService:
     """Batched, cached, verified execution of RLC workloads.
 
     ``cache_size`` bounds the LRU result cache (0 disables caching).
-    The cache keys on ``(source, target, prepared digest)``, with the
+    The cache keys on ``(source, target, prepared.labels)``, with the
     endpoints checked to be integers before any lookup.
     """
 
@@ -159,7 +159,7 @@ class QueryService:
 
         The service-level face of the prepared lifecycle: repeated
         calls with the same (or equivalently spelled) constraint return
-        the same object, whose digest keys the result cache.  A memo hit
+        the same object, whose labels key the result cache.  A memo hit
         counts only under :func:`repro.queries.plain_labels`; the engine
         validates any other spelling.
         """
@@ -186,7 +186,7 @@ class QueryService:
             source = vertex_id(source, "source")
         if type(target) is not int:
             target = vertex_id(target, "target")
-        key = (source, target, prepared.digest)
+        key = (source, target, prepared.labels)
         started = time.perf_counter()
         with self._lock:
             answer = self._cache.get(key)
@@ -222,8 +222,10 @@ class QueryService:
     ) -> ServiceReport:
         """Execute a workload (any iterable of queries).
 
-        Cached queries are answered without touching the engine; the
-        remainder goes to the engine in one ``query_batch`` call.  With
+        Cached queries are answered without touching the engine.  Each
+        distinct uncached query goes to the engine's ``query_prepared``
+        once, with the :class:`PreparedQuery` this service holds, and
+        its answer fans out to every position that asked for it.  With
         ``verify`` set, answers are checked against each query's
         ``expected`` attribute (where present) and disagreements are
         collected on the report — the caller decides whether a mismatch
@@ -233,18 +235,16 @@ class QueryService:
         answers: List[Optional[bool]] = [None] * len(batch)
         started = time.perf_counter()
         keys: List[CacheKey] = []
+        prepared_of: List[PreparedQuery] = []
         for query in batch:
             source, target = query.source, query.target
             if type(source) is not int:
                 source = vertex_id(source, "source")
             if type(target) is not int:
                 target = vertex_id(target, "target")
-            keys.append((source, target, self.prepare(query.labels).digest))
-        # With caching on, duplicate uncached queries collapse onto one
-        # in-flight group: the engine evaluates each distinct key once
-        # and the answer fans out to every position that asked for it.
-        # With cache_size=0 the caller asked to measure raw engine
-        # execution, so every occurrence runs individually.
+            prepared = self.prepare(query.labels)
+            prepared_of.append(prepared)
+            keys.append((source, target, prepared.labels))
         pending: List[Tuple[CacheKey, List[int]]] = []
         group_of: Dict[CacheKey, List[int]] = {}
         cache = self._cache
@@ -255,7 +255,7 @@ class QueryService:
                     cache.move_to_end(key)
                     answers[position] = cached
                     continue
-                group = group_of.get(key) if self._cache_size else None
+                group = group_of.get(key)
                 if group is None:
                     group = group_of[key] = []
                     pending.append((key, group))
@@ -265,17 +265,13 @@ class QueryService:
             self._misses += misses
         batches = 0
         if pending:
+            query_prepared = self._engine.query_prepared
             evaluated = time.perf_counter()
-            group_answers = self._engine.query_batch(
-                [batch[positions[0]] for _, positions in pending]
-            )
+            group_answers = [
+                query_prepared(prepared_of[positions[0]], source, target)
+                for (source, target, _), positions in pending
+            ]
             elapsed = time.perf_counter() - evaluated
-            if len(group_answers) != len(pending):
-                raise EngineError(
-                    f"engine {self._engine.name!r} returned "
-                    f"{len(group_answers)} answers for "
-                    f"{len(pending)} queries"
-                )
             batches = 1
             with self._lock:
                 self._engine_batches += 1
@@ -335,9 +331,11 @@ class QueryService:
     def counters(self) -> Dict[str, float]:
         """A consistent snapshot of the service's cumulative counters.
 
-        ``engine_*`` counts what this service sent to its engine (point
-        misses, ``query_batch`` calls and their queries, evaluation
-        time), plus the engine's own ``prepare_seconds``.
+        ``engine_*`` counts what this service sent to its engine: point
+        misses (``engine_queries``), runs that reached the engine
+        (``engine_batches``) and the distinct misses they sent
+        (``engine_batched_queries``), evaluation time, plus the engine's
+        own ``prepare_seconds``.
         """
         with self._lock:
             served = self._hits + self._misses

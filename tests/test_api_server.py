@@ -237,19 +237,16 @@ class TestQueryEndpoint:
 
 
 class TestPrepareEndpoint:
-    def test_prepare_returns_compiled_constraint(self, server, graph):
-        from repro.engine import PreparedQuery
-
+    def test_prepare_returns_compiled_constraint(self, server):
         status, body = post(server, "/prepare", {"labels": [0, 1]})
         assert status == 200
         assert body["labels"] == [0, 1]
+        assert body["constraint"] == "(0, 1)+"
         assert body["m"] == 2
         assert "rotations" not in body
+        # The normalized labels are the constraint's identity.
+        assert "digest" not in body
         assert body["engine"] == "rlc-index"
-        assert (
-            body["digest"]
-            == PreparedQuery((0, 1), num_labels=graph.num_labels).digest
-        )
         assert body["engine_id"] == "rlc-index"
         assert "capabilities" not in body
 
@@ -342,14 +339,16 @@ class TestConcurrentRequests:
     ):
         engine = server.session.engine()
         entered, release = threading.Event(), threading.Event()
-        real = engine.query_batch
+        real = engine.query_prepared
 
-        def stalled(queries):
-            entered.set()
-            release.wait(10)
-            return real(queries)
+        def stalled(prepared, source, target):
+            # Only the first call (the batch's first miss) waits.
+            if not entered.is_set():
+                entered.set()
+                release.wait(10)
+            return real(prepared, source, target)
 
-        monkeypatch.setattr(engine, "query_batch", stalled)
+        monkeypatch.setattr(engine, "query_prepared", stalled)
         first, *rest = workload
         responses = []
         sender = threading.Thread(

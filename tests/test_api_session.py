@@ -534,3 +534,4 @@ class TestLabelSpellings:
         ask = self._asker(entry, fig2, warm)
         assert ask(2, 5, (np.int64(1), np.int64(0))) is True
         assert ask(np.int64(2), np.int64(5), self.GOOD) is True
+        assert ask(2, 5, iter(self.GOOD)) is True

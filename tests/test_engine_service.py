@@ -69,19 +69,55 @@ class TestRun:
         assert service.counters()["engine_batched_queries"] == 1
 
     def test_cache_disabled_runs_every_duplicate(self, engine):
-        # cache_size=0 means "measure raw engine execution": in-flight
-        # dedup is off too, so all six occurrences reach the engine.
+        # cache_size=0 turns the LRU off, not the in-run collapsing of
+        # duplicates: the six occurrences still reach the engine once,
+        # and all six count as misses.
         query = RlcQuery(2, 5, (1, 0), expected=True)
         service = QueryService(engine, cache_size=0)
         report = service.run([query] * 6)
         assert report.ok and report.answers == [True] * 6
-        assert service.counters()["engine_batched_queries"] == 6
+        assert report.cache_misses == 6
+        assert service.counters()["engine_batched_queries"] == 1
+        assert service.cache_len == 0
 
-    def test_short_batch_answers_rejected(self, engine, workload, monkeypatch):
-        real = engine.query_batch
-        monkeypatch.setattr(engine, "query_batch", lambda queries: real(queries)[:-1])
-        with pytest.raises(EngineError, match="answers for"):
-            QueryService(engine).run(list(workload))
+
+class TestCheckOnce:
+    """A cold run validates each distinct constraint exactly once."""
+
+    QUERIES = [
+        RlcQuery(2, 5, (1, 0), expected=True),
+        RlcQuery(0, 2, (0,)),
+        RlcQuery(2, 5, [1, 0], expected=True),
+        RlcQuery(1, 3, (0, 1)),
+        RlcQuery(0, 2, (0,)),
+        RlcQuery(3, 4, (0, 1)),
+    ]
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        import repro.engine.base as base
+
+        calls = []
+        real = base.validate_constraint_labels
+
+        def counting(num_labels, labels, **kwargs):
+            calls.append(tuple(labels))
+            return real(num_labels, labels, **kwargs)
+
+        monkeypatch.setattr(base, "validate_constraint_labels", counting)
+        return calls
+
+    def test_service_run_validates_each_constraint_once(
+        self, engine, validations
+    ):
+        report = QueryService(engine).run(self.QUERIES)
+        assert report.ok and report.batches == 1
+        assert sorted(validations) == [(0,), (0, 1), (1, 0)]
+
+    def test_session_run_validates_each_constraint_once(self, fig2, validations):
+        session = Session(fig2)
+        assert session.run(self.QUERIES).ok
+        assert sorted(validations) == [(0,), (0, 1), (1, 0)]
 
 
 class TestCache:

@@ -2,15 +2,15 @@
 
 Covers the PR-5 API redesign end to end:
 
-- :class:`PreparedQuery` compilation artifacts (normalization, NFA,
-  digest stability);
+- :class:`PreparedQuery` compilation artifacts (normalization, NFA)
+  and the engine's check-once stamp;
 - randomized parity between ``query_prepared`` and the brute-force
   oracle for every registry engine;
 - witness-path validity behind every engine's true answers, attached
   by the session: the returned path must be a real path of the graph
   whose label sequence is a power of the constraint;
 - :class:`QueryOutcome` provenance through the service layer (cache
-  layer attribution, prepared-constraint digests);
+  layer attribution, one cache entry per normalized constraint);
 - the error taxonomy (:class:`EngineOptionError` naming the spec,
   ``CapabilityError`` naming the engine).
 """
@@ -67,17 +67,6 @@ class TestPreparedQueryObject:
         assert prepared.m == 2
         assert prepared.nfa is prepared.nfa  # memoized
         assert prepared.constraint_text() == "(1, 0)+"
-
-    def test_digest_is_spelling_independent_and_length_sensitive(self, fig2):
-        engine = create_engine("bfs", fig2)
-        assert (
-            engine.prepare_query((1, 0)).digest
-            == engine.prepare_query([1, 0]).digest
-        )
-        assert (
-            engine.prepare_query((0,)).digest
-            != engine.prepare_query((0, 1)).digest
-        )
 
     def test_equality_and_hash_by_labels(self, fig2):
         engine = create_engine("bfs", fig2)
@@ -162,6 +151,24 @@ class TestPreparedParity:
         engine.prepare(empty)
         assert engine.query_prepared(prepared, 0, 1) is False
 
+    def test_foreign_prepared_is_never_stamped(self, fig2):
+        wide = create_engine("bfs", fig2)
+        narrow = create_engine("rlc-index", fig2, k=1)
+        foreign = wide.prepare_query((0,))
+        hand_built = PreparedQuery((0,), num_labels=fig2.num_labels)
+        for prepared, stamp in ((foreign, wide.backend), (hand_built, None)):
+            assert narrow.query_prepared(prepared, 0, 2) is False
+            assert prepared._checked_by is stamp
+
+    def test_stamp_never_outlives_a_reprepare(self, fig2):
+        from repro.graph.digraph import EdgeLabeledDigraph
+
+        engine = RlcIndexEngine(k=2).prepare(fig2)
+        prepared = engine.prepare_query((2,))
+        engine.prepare(EdgeLabeledDigraph(2, [(0, 0, 1)], num_labels=1))
+        with pytest.raises(QueryError, match="label id 2.*'rlc-index'"):
+            engine.query_prepared(prepared, 0, 1)
+
     def test_state_memos_are_per_engine_instance(self):
         # Regression: PreparedQuery.state used to be keyed by engine
         # *name*, so two rlc-index instances with different orderings
@@ -231,7 +238,7 @@ class TestServiceOutcomes:
         assert first.answer is True and first.cached is False
         second = service.query_outcome(2, 5, (1, 0))
         assert second.answer is True and second.cached is True
-        # A numpy-int spelling hits the same digest-keyed LRU entry.
+        # A numpy-int spelling hits the same label-keyed LRU entry.
         third = service.query_outcome(2, 5, [np.int64(1), np.int64(0)])
         assert third.cached is True
         assert service.cache_len == 1
