@@ -27,7 +27,8 @@ semantics.
 
 Threads may share a session: a new spec's engine is built once, under
 the session's lock, and per-query state lives in each service.  A build
-ends with one full garbage collection (see :meth:`Session.service`).
+ends with one full garbage collection, which untracks the new index for
+good (see :meth:`Session.service`).
 
 Each part of an answer has one owner: the engine answers a bool, the
 service wraps it in a :class:`~repro.queries.QueryOutcome`, and the
@@ -266,10 +267,10 @@ class Session:
         becomes an alias of the service already built for them, if any.
 
         Building an engine ends with one full garbage collection.  An
-        index's entry store is tens of thousands of lists and dicts that
-        the collector counts as newly long-lived, so its next full pass
-        (about 50 ms on EP at k=2) would otherwise fall on whichever
-        query is in flight a few seconds later.
+        index's entry store is tens of thousands of dicts and tuples of
+        ints, tracked when created; a full pass is what untracks them,
+        once and for good.  Run here, that pass belongs to the build;
+        left to the collector, it could fall on a query in flight.
         """
         self._ensure_open()
         spec = spec or self._default_spec

@@ -67,7 +67,7 @@ import time
 from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.index import BuildStats, RlcIndex
+from repro.core.index import BuildStats, HubLists, RlcIndex
 from repro.core.ordering import compute_order
 from repro.errors import BudgetExceededError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -135,8 +135,8 @@ def build_rlc_index(
     if strategy not in STRATEGIES:
         raise QueryError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     n = graph.num_vertices
-    out_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
-    in_by_mr: List[Dict[Mr, List[int]]] = [{} for _ in range(n)]
+    out_by_mr: List[HubLists] = [{} for _ in range(n)]
+    in_by_mr: List[HubLists] = [{} for _ in range(n)]
     # PR2 prunes the vertices whose searches already ran.
     done: Set[int] = set()
     stats = BuildStats()
@@ -418,8 +418,8 @@ class _Inserter:
         stats: BuildStats,
         done: Optional[Set[int]],
         origin_aid: int,
-        written: List[Dict[Mr, List[int]]],
-        origin_side: Optional[Dict[Mr, List[int]]],
+        written: List[HubLists],
+        origin_side: Optional[HubLists],
         order: List[int],
     ) -> None:
         self._stats = stats
@@ -465,10 +465,7 @@ class _Inserter:
             elif hub_aids is not None and hubs and not hub_aids.isdisjoint(hubs):
                 pruned_pr1 += 1
             else:
-                if hubs is None:
-                    by_mr[mr] = [origin_aid]
-                else:
-                    hubs.append(origin_aid)
+                by_mr[mr] = (origin_aid,) if hubs is None else hubs + (origin_aid,)
                 stored.append(vertex)
         self._duplicates += duplicates
         self._pruned_pr1 += pruned_pr1

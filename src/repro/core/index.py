@@ -11,18 +11,23 @@ and a query ``(s, t, L+)`` is true iff ``(t, L) in Lout(s)``, or
 ``(x, L) in Lin(t)`` (Algorithm 1, :func:`hubs_answer`).
 
 Each vertex stores its entries grouped by minimum repeat:
-``{mr: [hub_access_ids]}``, one dict for ``Lout`` and one for ``Lin``.
-Because the builder processes vertices in access-id order and each
-search only inserts entries whose hub is the search origin, every hub
-list comes out already sorted — no post-sorting is needed, matching the
-paper's complexity claim for Algorithm 1.  A query reads only the two
-hub lists of its constraint.
+``{mr: (hub_access_ids...)}``, one dict for ``Lout`` and one for
+``Lin``.  Because the builder processes vertices in access-id order and
+each search only inserts entries whose hub is the search origin, every
+hub list comes out already sorted — no post-sorting is needed, matching
+the paper's complexity claim for Algorithm 1.  A query reads only the
+two hub lists of its constraint.
+
+Hub lists are tuples: an insert replaces a vertex's tuple with one a hub
+longer.  The store then holds only ints and tuples of ints, which the
+garbage collector stops tracking after one full collection, so a built
+or loaded index adds nothing to later collections.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +40,7 @@ __all__ = ["BuildStats", "RlcIndex", "hubs_answer"]
 
 Mr = Tuple[int, ...]
 Entry = Tuple[int, Mr]  # (hub access id, minimum repeat)
-HubLists = Dict[Mr, List[int]]  # mr -> ascending hub access ids
+HubLists = Dict[Mr, Tuple[int, ...]]  # mr -> ascending hub access ids
 
 _FORMAT_VERSION = 2
 
@@ -113,22 +118,8 @@ class BuildStats:
     pr3_stops: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat dict view (used by the benchmark harness)."""
-        return {
-            "seconds": self.seconds,
-            "phase1_seconds": self.phase1_seconds,
-            "phase2_seconds": self.phase2_seconds,
-            "kernel_searches": self.kernel_searches,
-            "kernel_bfs_runs": self.kernel_bfs_runs,
-            "phase1_expansions": self.phase1_expansions,
-            "phase2_expansions": self.phase2_expansions,
-            "insert_attempts": self.insert_attempts,
-            "inserted": self.inserted,
-            "duplicates": self.duplicates,
-            "pruned_pr1": self.pruned_pr1,
-            "pruned_pr2": self.pruned_pr2,
-            "pr3_stops": self.pr3_stops,
-        }
+        """Flat dict view in field order (used by the benchmark harness)."""
+        return asdict(self)
 
 
 class RlcIndex:
@@ -320,32 +311,15 @@ class RlcIndex:
         for side, vertex, hub_aid, mr in self._entries():
             hub = self._order[hub_aid - 1]
             s, t = (vertex, hub) if side == 0 else (hub, vertex)
-            if self._has_common_hub(s, t, mr, exclude_aid=hub_aid):
+            common = set(self._out_by_mr[s].get(mr, ())).intersection(
+                self._in_by_mr[t].get(mr, ())
+            )
+            common.discard(hub_aid)
+            if common:
                 violations.append((s, t, mr))
                 if len(violations) >= limit:
                     return violations
         return violations
-
-    def _has_common_hub(
-        self, source: int, target: int, mr: Mr, *, exclude_aid: int = 0
-    ) -> bool:
-        hubs_out = self._out_by_mr[source].get(mr)
-        hubs_in = self._in_by_mr[target].get(mr)
-        if not hubs_out or not hubs_in:
-            return False
-        i = j = 0
-        while i < len(hubs_out) and j < len(hubs_in):
-            a, b = hubs_out[i], hubs_in[j]
-            if a < b:
-                i += 1
-            elif a > b:
-                j += 1
-            elif a == exclude_aid:
-                i += 1
-                j += 1
-            else:
-                return True
-        return False
 
     def _entries(self) -> Iterator[Tuple[int, int, int, Mr]]:
         """Every entry as ``(side, vertex, hub_aid, mr)``: side 0 is ``Lout``.
@@ -436,9 +410,9 @@ class RlcIndex:
                     by_mr = (out_by_mr if side == 0 else in_by_mr)[owner]
                     hub_list = by_mr.get(mr)
                     if hub_list is None:
-                        by_mr[mr] = [hub]
+                        by_mr[mr] = (hub,)
                     elif hub_list[-1] < hub:
-                        hub_list.append(hub)
+                        by_mr[mr] = hub_list + (hub,)
                     else:
                         raise SerializationError(
                             f"malformed index archive {path}: the hub list of "

@@ -1,17 +1,15 @@
 """Immutable edge-labeled directed graph with label-partitioned adjacency.
 
-The representation is tuned for the two access patterns of the paper's
-algorithms:
-
-- *kernel-search* (Algorithm 2, phase 1) scans **all** in/out edges of a
-  vertex: served by per-vertex ``(label, neighbor)`` lists;
-- *kernel-BFS* (phase 2) scans the in/out neighbors reachable through a
-  **specific** label: served by per-vertex ``{label: (neighbors...)}``
-  dicts, so each expansion touches only matching edges.
-
-Both structures are materialized once at construction from a
-numpy-sorted, de-duplicated edge array, which is also kept for
-statistics, serialization and reversal.
+Each direction keeps one adjacency layout: per vertex, a
+``{label: (neighbors...)}`` dict, labels and neighbours ascending, built
+once from the numpy-sorted, de-duplicated edge arrays (also kept for
+statistics, serialization and reversal).  It holds only ints and tuples
+of ints, which the garbage collector stops tracking after one full
+collection.  Point lookups (``out_neighbors``, ``has_edge``) read one
+dict entry; ``out_edges``/``in_edges`` and the degrees walk one vertex's
+dict, by label, then neighbour; :meth:`~EdgeLabeledDigraph.label_adjacency`
+builds the label-major view that the index builder
+(:mod:`repro.core.builder`) takes once per build for both search phases.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ class EdgeLabeledDigraph:
         "_sources",
         "_labels",
         "_targets",
-        "_out",
-        "_in",
         "_out_by_label",
         "_in_by_label",
         "_hash",
@@ -98,10 +94,8 @@ class EdgeLabeledDigraph:
         self.label_dictionary = label_dictionary
 
         self._hash: Optional[int] = None
-        self._out = self._bucket_adjacency(self._sources, self._labels, self._targets)
-        self._in = self._bucket_adjacency(self._targets, self._labels, self._sources)
-        self._out_by_label = self._partition_by_label(self._out)
-        self._in_by_label = self._partition_by_label(self._in)
+        self._out_by_label = self._by_label(self._sources, self._labels, self._targets)
+        self._in_by_label = self._by_label(self._targets, self._labels, self._sources)
 
     @staticmethod
     def _validate(
@@ -132,34 +126,25 @@ class EdgeLabeledDigraph:
                 f"label id {int(labels.max())} out of range [0, {label_bound})"
             )
 
-    def _bucket_adjacency(
+    def _by_label(
         self, keys: np.ndarray, labels: np.ndarray, values: np.ndarray
-    ) -> List[List[Tuple[int, int]]]:
-        """Group ``(label, value)`` pairs per key vertex, sorted by (label, value)."""
-        n = self._num_vertices
-        if keys.size == 0:
-            return [[] for _ in range(n)]
-        order = np.lexsort((values, labels, keys))
-        sorted_keys = keys[order]
-        pair_labels = labels[order].tolist()
-        pair_values = values[order].tolist()
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sorted_keys, minlength=n), out=offsets[1:])
-        bounds = offsets.tolist()
-        pairs = list(zip(pair_labels, pair_values))
-        return [pairs[bounds[v] : bounds[v + 1]] for v in range(n)]
-
-    @staticmethod
-    def _partition_by_label(
-        adjacency: List[List[Tuple[int, int]]],
     ) -> List[Dict[int, Tuple[int, ...]]]:
-        partitioned: List[Dict[int, Tuple[int, ...]]] = []
-        for pairs in adjacency:
-            by_label: Dict[int, List[int]] = {}
-            for label, neighbor in pairs:
-                by_label.setdefault(label, []).append(neighbor)
-            partitioned.append({label: tuple(vs) for label, vs in by_label.items()})
-        return partitioned
+        """Per key vertex, ``{label: values}``, labels and values ascending."""
+        n = self._num_vertices
+        groups: List[Dict[int, Tuple[int, ...]]] = [{} for _ in range(n)]
+        if keys.size == 0:
+            return groups
+        order = np.lexsort((values, labels, keys))
+        keys, labels = keys[order], labels[order]
+        # One run per (key, label) pair: split where either changes.
+        starts = [0, *(np.flatnonzero(np.diff(keys) | np.diff(labels)) + 1).tolist()]
+        bounds = starts + [keys.size]
+        neighbors = values[order].tolist()
+        for key, label, low, high in zip(
+            keys[starts].tolist(), labels[starts].tolist(), bounds, bounds[1:]
+        ):
+            groups[key][label] = tuple(neighbors[low:high])
+        return groups
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -220,12 +205,12 @@ class EdgeLabeledDigraph:
     # ------------------------------------------------------------------
 
     def out_edges(self, vertex: int) -> Sequence[Tuple[int, int]]:
-        """Return the ``(label, target)`` pairs leaving ``vertex``."""
-        return self._out[vertex]
+        """The ``(label, target)`` pairs leaving ``vertex``, by label, then target."""
+        return _pairs(self._out_by_label[vertex])
 
     def in_edges(self, vertex: int) -> Sequence[Tuple[int, int]]:
-        """Return the ``(label, source)`` pairs entering ``vertex``."""
-        return self._in[vertex]
+        """The ``(label, source)`` pairs entering ``vertex``, by label, then source."""
+        return _pairs(self._in_by_label[vertex])
 
     def out_neighbors(self, vertex: int, label: int) -> Sequence[int]:
         """Targets of edges ``vertex --label--> t`` (empty tuple if none)."""
@@ -262,11 +247,11 @@ class EdgeLabeledDigraph:
 
     def out_degree(self, vertex: int) -> int:
         """Number of out-edges of ``vertex``."""
-        return len(self._out[vertex])
+        return sum(map(len, self._out_by_label[vertex].values()))
 
     def in_degree(self, vertex: int) -> int:
         """Number of in-edges of ``vertex``."""
-        return len(self._in[vertex])
+        return sum(map(len, self._in_by_label[vertex].values()))
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every vertex as an int64 array."""
@@ -400,3 +385,10 @@ class EdgeLabeledDigraph:
                 )
             )
         return self._hash
+
+
+def _pairs(groups: Dict[int, Tuple[int, ...]]) -> List[Tuple[int, int]]:
+    """One vertex's ``{label: neighbors}`` dict as ``(label, neighbor)`` pairs."""
+    return [
+        (label, neighbor) for label, neighbors in groups.items() for neighbor in neighbors
+    ]

@@ -7,13 +7,14 @@ Two formats are supported:
   integers; names are interned.  This is the interchange format used by
   SNAP/KONECT-style datasets the paper evaluates on.
 - **NPZ binary** — numpy arrays plus the label dictionary, loading a
-  large graph orders of magnitude faster than re-parsing text.
+  large graph orders of magnitude faster than re-parsing text.  Label
+  names are stored as fixed-width unicode, so loading never unpickles.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 
@@ -75,13 +76,9 @@ def write_edge_list(graph: EdgeLabeledDigraph, path: PathLike) -> None:
 
 
 def save_graph_npz(graph: EdgeLabeledDigraph, path: PathLike) -> None:
-    """Persist the graph as a compressed numpy archive."""
+    """Persist the graph as a compressed numpy archive (no pickles)."""
     sources, labels, targets = graph.edge_arrays()
-    label_names = (
-        np.asarray(list(graph.label_dictionary), dtype=object)
-        if graph.label_dictionary is not None
-        else np.asarray([], dtype=object)
-    )
+    names = list(graph.label_dictionary) if graph.label_dictionary is not None else []
     np.savez_compressed(
         path,
         format_version=np.int64(_FORMAT_VERSION),
@@ -90,20 +87,20 @@ def save_graph_npz(graph: EdgeLabeledDigraph, path: PathLike) -> None:
         sources=sources,
         labels=labels,
         targets=targets,
-        label_names=label_names,
+        label_names=np.asarray(names, dtype=str),
     )
 
 
 def load_graph_npz(path: PathLike) -> EdgeLabeledDigraph:
-    """Load a graph written by :func:`save_graph_npz`."""
+    """Load a graph written by :func:`save_graph_npz`; never unpickles anything."""
     try:
-        with np.load(path, allow_pickle=True) as archive:
+        with np.load(path, allow_pickle=False) as archive:
             version = int(archive["format_version"])
             if version != _FORMAT_VERSION:
                 raise SerializationError(
                     f"unsupported graph format version {version} in {path}"
                 )
-            names = [str(name) for name in archive["label_names"]]
+            names = _label_names(archive, path)
             dictionary = LabelDictionary(names) if names else None
             triples = np.column_stack(
                 (archive["sources"], archive["labels"], archive["targets"])
@@ -116,8 +113,35 @@ def load_graph_npz(path: PathLike) -> EdgeLabeledDigraph:
             )
     except SerializationError:
         raise
-    except Exception as exc:  # corrupt archives raise various zip/pickle errors
+    except Exception as exc:  # corrupt archives raise various zip/value errors
         raise SerializationError(f"failed to load graph from {path}: {exc}") from exc
+
+
+def _label_names(archive, path: PathLike) -> List[str]:
+    """The archive's label names, read without unpickling.
+
+    Archives written before names were stored as unicode hold them as
+    an object array.  An empty one (a graph without names) still loads;
+    its ``.npy`` header says so, and its payload is never read.  Any
+    other object array is refused.
+    """
+    with archive.zip.open("label_names.npy") as member:
+        version = np.lib.format.read_magic(member)
+        read_header = (
+            np.lib.format.read_array_header_1_0
+            if version == (1, 0)
+            else np.lib.format.read_array_header_2_0
+        )
+        shape, _, dtype = read_header(member)
+    if not dtype.hasobject:
+        return archive["label_names"].tolist()
+    if shape == (0,):
+        return []
+    raise SerializationError(
+        f"{path} stores its label names as pickled objects, which are no longer "
+        "loaded; load it with repro < 1.17 and save it again with save_graph_npz, "
+        "or regenerate it with `repro dataset`, to store them as text"
+    )
 
 
 def load_graph(path: PathLike) -> EdgeLabeledDigraph:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import os
 import random
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.labels.minimum_repeat import is_primitive
 
 __all__ = [
+    "CreatesMarker",
     "all_primitive_constraints",
     "brute_force_rlc",
     "count_k_bounded_minimum_repeats",
@@ -17,7 +20,31 @@ __all__ = [
     "enumerate_label_sequences",
     "enumerate_primitive_sequences",
     "random_graph",
+    "tracked_objects_added",
 ]
+
+class CreatesMarker:
+    """Unpickling this object creates the directory ``path``."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def tracked_objects_added(make: Callable[[], Any]) -> Tuple[Any, int]:
+    """``make()``, and how many more objects the cyclic GC tracks once it returned.
+
+    A full collection runs before and after, so what CPython untracks in
+    a full pass -- tuples and dicts that hold only untracked objects,
+    such as ints and tuples of ints -- does not count.
+    """
+    gc.collect()
+    before = len(gc.get_objects())
+    made = make()
+    gc.collect()
+    return made, len(gc.get_objects()) - before
 
 
 def random_graph(

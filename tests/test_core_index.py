@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -16,9 +15,16 @@ from repro.errors import (
     SerializationError,
 )
 from repro.core.index import RlcIndex
+from repro.graph.datasets import load_dataset
 from repro.queries import RlcQuery
 
-from tests.helpers import all_primitive_constraints, brute_force_rlc, random_graph
+from tests.helpers import (
+    CreatesMarker,
+    all_primitive_constraints,
+    brute_force_rlc,
+    random_graph,
+    tracked_objects_added,
+)
 
 # Vertex ids: v1=0 .. v6=5; label ids: l1=0, l2=1, l3=2.
 L1, L2, L3 = 0, 1, 2
@@ -258,16 +264,6 @@ class TestPersistence:
             RlcIndex.load(tmp_path / "absent.npz")
 
 
-class _CreatesMarker:
-    """Unpickling this object creates the directory ``path``."""
-
-    def __init__(self, path) -> None:
-        self.path = str(path)
-
-    def __reduce__(self):
-        return (os.mkdir, (self.path,))
-
-
 def _saved_arrays(tmp_path, index, *, keep_label_names=False):
     """The arrays of ``index``'s saved archive, label names left out unless kept."""
     path = tmp_path / "index.npz"
@@ -289,7 +285,7 @@ class TestLoadRunsNoCode:
         marker = tmp_path / "marker"
         arrays["format_version"] = np.int64(version)
         label_names = np.empty(1, dtype=object)
-        label_names[0] = _CreatesMarker(marker)
+        label_names[0] = CreatesMarker(marker)
         arrays["label_names"] = label_names
         crafted = tmp_path / f"crafted-v{version}.npz"
         np.savez(crafted, **arrays)
@@ -310,6 +306,26 @@ class TestLoadRunsNoCode:
         fig2_index.save(path)
         with np.load(path, allow_pickle=False) as archive:
             assert archive["label_names"].dtype.kind == "U"
+
+
+class TestStoreFootprint:
+    """After one full collection, the GC no longer tracks an index's entry store.
+
+    Hub lists are tuples and each vertex's store a dict of them, all of
+    ints; CPython untracks such tuples and dicts in a full collection.
+    What is left is the index object and its few lists of vertices.
+    """
+
+    def test_built_and_loaded_stores_are_untracked(self, tmp_path):
+        graph = load_dataset("EP", scale=0.1)
+        index, added = tracked_objects_added(lambda: build_rlc_index(graph, k=2))
+        assert index.num_entries > 10 * graph.num_vertices
+        assert added < 50
+        path = tmp_path / "ep.npz"
+        index.save(path)
+        loaded, added = tracked_objects_added(lambda: RlcIndex.load(path))
+        assert loaded.num_entries == index.num_entries
+        assert added < 50
 
 
 class TestSizeModel:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.graph.datasets import load_dataset
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.labels.sequences import LabelDictionary
+from tests.helpers import random_graph, tracked_objects_added
 
 
 @pytest.fixture
@@ -220,3 +222,41 @@ class TestHashability:
         a = EdgeLabeledDigraph(2, [(0, 0, 1)])
         b = EdgeLabeledDigraph(2, [(0, 0, 1), (0, 0, 1)])
         assert a == b and hash(a) == hash(b)
+
+
+class TestOneAdjacencyLayout:
+    """Edge pairs and degrees are derived from the per-label adjacency."""
+
+    def test_pairs_and_degrees_match_the_edge_list(self):
+        shapes = set()
+        for seed in range(60):
+            graph = random_graph(seed)
+            edges = list(graph.edges())
+            if any(s == t for s, _, t in edges):
+                shapes.add("self-loop")
+            if len({(s, t) for s, _, t in edges}) < len(edges):
+                shapes.add("parallel labels")
+            for v in range(graph.num_vertices):
+                out_pairs = sorted((label, t) for s, label, t in edges if s == v)
+                in_pairs = sorted((label, s) for s, label, t in edges if t == v)
+                if not out_pairs and not in_pairs:
+                    shapes.add("isolated vertex")
+                assert list(graph.out_edges(v)) == out_pairs
+                assert list(graph.in_edges(v)) == in_pairs
+                assert graph.out_degree(v) == len(out_pairs) == graph.out_degrees()[v]
+                assert graph.in_degree(v) == len(in_pairs) == graph.in_degrees()[v]
+        assert shapes == {"self-loop", "parallel labels", "isolated vertex"}
+
+    def test_adjacency_is_untracked_after_a_full_collection(self):
+        # Per-vertex dicts of int keys and int tuples: CPython stops
+        # tracking them in a full collection, so a graph's adjacency
+        # costs later collections nothing.
+        graph = load_dataset("EP", scale=0.1)
+        triples = np.column_stack(graph.edge_arrays())
+        copy, added = tracked_objects_added(
+            lambda: EdgeLabeledDigraph(
+                graph.num_vertices, triples, num_labels=graph.num_labels
+            )
+        )
+        assert copy == graph
+        assert added < 10

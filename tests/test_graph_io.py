@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import SerializationError
@@ -15,6 +16,7 @@ from repro.graph.io import (
     save_graph_npz,
     write_edge_list,
 )
+from tests.helpers import CreatesMarker
 
 
 @pytest.fixture
@@ -113,3 +115,63 @@ class TestDispatch:
         path = tmp_path / "g.edges"
         write_edge_list(named_graph, path)
         assert sorted(load_graph(path).edges()) == sorted(named_graph.edges())
+
+
+def _saved_arrays(tmp_path, graph):
+    path = tmp_path / "saved.npz"
+    save_graph_npz(graph, path)
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+class TestLoadRunsNoCode:
+    """``load_graph_npz`` never unpickles, whatever the archive holds."""
+
+    def test_pickled_label_names_rejected(self, tmp_path, named_graph):
+        arrays = _saved_arrays(tmp_path, named_graph)
+        marker = tmp_path / "marker"
+        label_names = np.empty(1, dtype=object)
+        label_names[0] = CreatesMarker(marker)
+        arrays["label_names"] = label_names
+        crafted = tmp_path / "crafted.npz"
+        np.savez(crafted, **arrays)
+        with pytest.raises(SerializationError, match="pickled"):
+            load_graph_npz(crafted)
+        assert not marker.exists()
+
+    def test_old_named_archive_names_the_rebuild(self, tmp_path, named_graph):
+        arrays = _saved_arrays(tmp_path, named_graph)
+        names = list(named_graph.label_dictionary)
+        arrays["label_names"] = np.asarray(names, dtype=object)
+        path = tmp_path / "old-named.npz"
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(SerializationError, match="save_graph_npz"):
+            load_graph_npz(path)
+
+    def test_old_archive_without_names_still_loads(self, tmp_path):
+        # Every stand-in and generator graph was saved this way.
+        g = EdgeLabeledDigraph(3, [(0, 2, 1), (1, 0, 1)], num_labels=5)
+        sources, labels, targets = g.edge_arrays()
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            format_version=np.int64(1),
+            num_vertices=np.int64(3),
+            num_labels=np.int64(5),
+            sources=sources,
+            labels=labels,
+            targets=targets,
+            label_names=np.asarray([], dtype=object),
+        )
+        loaded = load_graph_npz(path)
+        assert loaded == g
+        assert loaded.label_dictionary is None
+
+    def test_label_names_saved_as_plain_strings(self, tmp_path, named_graph):
+        path = tmp_path / "g.npz"
+        save_graph_npz(named_graph, path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["label_names"].dtype.kind == "U"
+        loaded = load_graph_npz(path)
+        assert list(loaded.label_dictionary) == list(named_graph.label_dictionary)
+        assert loaded == named_graph

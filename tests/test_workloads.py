@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.baselines import NfaBfs
 from repro.errors import QueryError, SerializationError
 from repro.graph import generators
+from repro.graph.datasets import load_dataset
 from repro.labels.minimum_repeat import is_primitive
 from repro.queries import RlcQuery
 from repro.workloads import (
@@ -103,6 +106,19 @@ class TestGeneration:
     def test_zero_counts_allowed(self, medium_graph):
         w = generate_workload(medium_graph, 2, num_true=0, num_false=0)
         assert len(w) == 0
+
+
+    def test_ep_workload_is_pinned(self, tmp_path):
+        # Random walks index into out_edges (by label, then target), so
+        # this pins that order together with the samplers.  Query pools
+        # cached by a graph's content digest assume it never changes.
+        graph = load_dataset("EP", scale=0.1)
+        workload = generate_workload(graph, 2, num_true=50, num_false=50, seed=1)
+        path = tmp_path / "ep.workload"
+        save_workload(workload, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "470cfc2da18107f2f1c4e3cfe234748b63146dd39246ffa3183a4426e75e1cdd"
+        )
 
 
 class TestContainer:

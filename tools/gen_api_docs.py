@@ -46,6 +46,8 @@ DOCSTRING_GUARDED = (
     "repro.api.session",
     "repro.core.builder",
     "repro.baselines.etc",
+    "repro.graph.digraph",
+    "repro.graph.io",
 )
 
 
