@@ -91,21 +91,22 @@ class Sys1PropertyGraphEngine(_SimulatedEngine):
                 names[label]: nfa.successors(state, label)
                 for label in nfa.outgoing_labels(state)
             }
-            for label, neighbor in graph.out_edges(vertex):
+            for label in graph.out_labels(vertex):
                 edge_label = names[label]
-                for expected, next_states in step.items():
-                    if edge_label != expected:
-                        continue
-                    for next_state in next_states:
-                        seen = visited[next_state]
-                        if neighbor in seen:
+                for neighbor in graph.out_neighbors(vertex, label):
+                    for expected, next_states in step.items():
+                        if edge_label != expected:
                             continue
-                        # Row materialization per traversal step.
-                        row = (vertex, edge_label, neighbor, next_state)
-                        if row[2] == target and next_state in accepts:
-                            return True
-                        seen.add(neighbor)
-                        traversers.append((neighbor, next_state))
+                        for next_state in next_states:
+                            seen = visited[next_state]
+                            if neighbor in seen:
+                                continue
+                            # Row materialization per traversal step.
+                            row = (vertex, edge_label, neighbor, next_state)
+                            if row[2] == target and next_state in accepts:
+                                return True
+                            seen.add(neighbor)
+                            traversers.append((neighbor, next_state))
         return False
 
 

@@ -23,8 +23,10 @@ search terminates on arbitrary cyclic graphs in ``O(|E| * |L|)``.
 
 Both phases move sets of vertices: phase 1 keeps the set of endpoints
 of each sequence, phase 2 one frontier per step, and a step is one
-union of the neighbour tuples of the graph's label-major view
-(:meth:`~repro.graph.EdgeLabeledDigraph.label_adjacency`).
+union of neighbour tuples.  Phase 1 reads them from the graph's own
+per-vertex ``{label: neighbours}`` dicts
+(:meth:`~repro.graph.EdgeLabeledDigraph.adjacency`), phase 2 from its
+label-major view (:meth:`~repro.graph.EdgeLabeledDigraph.label_adjacency`).
 
 **Pruning rules.**
 
@@ -265,7 +267,7 @@ def _kernel_search(
         for sequence, endpoints in level:
             buckets: Dict[int, List[Tuple[int, ...]]] = {}
             for vertex in endpoints:
-                for label, neighbors in groups[vertex]:
+                for label, neighbors in groups[vertex].items():
                     bucket = buckets.get(label)
                     if bucket is None:
                         buckets[label] = [neighbors]
@@ -364,14 +366,10 @@ class SearchDirection:
     __slots__ = ("view", "groups", "backward", "_rows")
 
     def __init__(self, graph: EdgeLabeledDigraph, *, backward: bool) -> None:
-        view = graph.label_adjacency(incoming=backward)
         #: ``view[label][vertex]``: the neighbour tuple in this direction
-        self.view = view
-        #: ``groups[vertex]``: the ``(label, neighbours)`` pairs, by label
-        self.groups = [
-            [(label, row[vertex]) for label, row in enumerate(view) if row[vertex]]
-            for vertex in range(graph.num_vertices)
-        ]
+        self.view = graph.label_adjacency(incoming=backward)
+        #: ``groups[vertex]``: the graph's ``{label: neighbours}`` dict, by label
+        self.groups = graph.adjacency(incoming=backward)
         self.backward = backward
         self._rows: Dict[Mr, List[List[Tuple[int, ...]]]] = {}
 

@@ -294,8 +294,8 @@ class EngineBase:
     def query_batch(self, queries: Sequence[RlcQuery]) -> List[bool]:
         """Answer a batch of queries, preserving input order.
 
-        Each distinct constraint is prepared once per batch (a memo hit
-        counts only under :func:`repro.queries.plain_labels`); every
+        Each distinct constraint is prepared once per batch (the memo
+        is consulted only under :func:`repro.queries.plain_labels`); every
         query is then answered by :meth:`query_prepared`.  A malformed
         query raises the error its point query would.
         """
@@ -304,9 +304,12 @@ class EngineBase:
         answers: List[bool] = []
         for query in queries:
             labels = query.labels
-            prepared = prepared_for.get(labels)
-            if prepared is None or not plain_labels(labels):
-                prepared = prepared_for[labels] = self.prepare_query(labels)
+            if not plain_labels(labels):
+                prepared = self.prepare_query(labels)
+            else:
+                prepared = prepared_for.get(labels)
+                if prepared is None:
+                    prepared = prepared_for[labels] = self.prepare_query(labels)
             answers.append(query_prepared(prepared, query.source, query.target))
         return answers
 

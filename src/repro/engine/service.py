@@ -159,14 +159,16 @@ class QueryService:
 
         The service-level face of the prepared lifecycle: repeated
         calls with the same (or equivalently spelled) constraint return
-        the same object, whose labels key the result cache.  A memo hit
-        counts only under :func:`repro.queries.plain_labels`; the engine
-        validates any other spelling.
+        the same object, whose labels key the result cache.  The memo is
+        consulted only under :func:`repro.queries.plain_labels`; the
+        engine validates any other spelling, so a malformed label (even
+        an unhashable one) raises the engine's :class:`QueryError`.
         """
         key = tuple(labels)
-        prepared = self._prepared.get(key)
-        if prepared is not None and plain_labels(key):
-            return prepared
+        if plain_labels(key):
+            prepared = self._prepared.get(key)
+            if prepared is not None:
+                return prepared
         prepared = self._engine.prepare_query(key)
         with self._lock:
             if len(self._prepared) >= _PREPARED_MEMO_LIMIT:

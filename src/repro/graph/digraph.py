@@ -7,14 +7,16 @@ statistics, serialization and reversal).  It holds only ints and tuples
 of ints, which the garbage collector stops tracking after one full
 collection.  Point lookups (``out_neighbors``, ``has_edge``) read one
 dict entry; ``out_edges``/``in_edges`` and the degrees walk one vertex's
-dict, by label, then neighbour; :meth:`~EdgeLabeledDigraph.label_adjacency`
-builds the label-major view that the index builder
-(:mod:`repro.core.builder`) takes once per build for both search phases.
+dict, by label, then neighbour.  The index builder
+(:mod:`repro.core.builder`) reads the per-vertex dicts themselves through
+:meth:`~EdgeLabeledDigraph.adjacency` in its phase 1, and the label-major
+view that :meth:`~EdgeLabeledDigraph.label_adjacency` builds in its
+phase 2.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,6 +221,20 @@ class EdgeLabeledDigraph:
     def in_neighbors(self, vertex: int, label: int) -> Sequence[int]:
         """Sources of edges ``s --label--> vertex`` (empty tuple if none)."""
         return self._in_by_label[vertex].get(label, _EMPTY)
+
+    def adjacency(
+        self, *, incoming: bool = False
+    ) -> Sequence[Mapping[int, Tuple[int, ...]]]:
+        """The graph's own adjacency layout: ``adjacency()[vertex]`` is
+        the ``{label: neighbours}`` dict of the edges leaving ``vertex``
+        (with ``incoming``, entering it), labels and neighbours ascending.
+
+        Read-only: the stored dicts are returned, not copies, so a
+        caller must not change them.  A search that walks every label
+        of a vertex iterates one dict instead of calling
+        :meth:`out_labels` and :meth:`out_neighbors`.
+        """
+        return self._in_by_label if incoming else self._out_by_label
 
     def label_adjacency(self, *, incoming: bool = False) -> List[List[Tuple[int, ...]]]:
         """A label-major view: ``view[label][vertex]`` is the tuple

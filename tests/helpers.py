@@ -8,18 +8,24 @@ import os
 import random
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
+from hypothesis import strategies as st
+
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.labels.minimum_repeat import is_primitive
 
 __all__ = [
+    "ADVERSARIAL_TOPOLOGIES",
     "CreatesMarker",
     "all_primitive_constraints",
+    "assert_witness_valid",
     "brute_force_rlc",
     "count_k_bounded_minimum_repeats",
     "count_primitive_sequences",
     "enumerate_label_sequences",
     "enumerate_primitive_sequences",
+    "graphs",
     "random_graph",
+    "stack_graphs",
     "tracked_objects_added",
 ]
 
@@ -69,6 +75,81 @@ def random_graph(
             continue
         edges.add((u, rng.randrange(num_labels), v))
     return EdgeLabeledDigraph(n, sorted(edges), num_labels=num_labels)
+
+
+def stack_graphs(
+    blocks: Sequence[EdgeLabeledDigraph],
+) -> Tuple[EdgeLabeledDigraph, List[Tuple[int, int]]]:
+    """The disjoint union of ``blocks``, and ``block_of``: for each of its
+    vertices, ``(block index, vertex id in the block)``."""
+    edges: List[Tuple[int, int, int]] = []
+    block_of: List[Tuple[int, int]] = []
+    for index, block in enumerate(blocks):
+        offset = len(block_of)
+        edges += [(u + offset, label, v + offset) for u, label, v in block.edges()]
+        block_of += [(index, v) for v in range(block.num_vertices)]
+    num_labels = max(block.num_labels for block in blocks)
+    return EdgeLabeledDigraph(len(block_of), edges, num_labels=num_labels), block_of
+
+
+def _complete(n: int, num_labels: int) -> EdgeLabeledDigraph:
+    """Every ordered pair ``u != v``, labelled ``(u + v) % num_labels``."""
+    edges = [(u, (u + v) % num_labels, v) for u in range(n) for v in range(n) if u != v]
+    return EdgeLabeledDigraph(n, edges, num_labels=num_labels)
+
+
+def _cycle(labels: Sequence[int]) -> EdgeLabeledDigraph:
+    """``i -> i + 1 (mod n)`` labelled ``labels[i]``."""
+    edges = [(i, label, (i + 1) % len(labels)) for i, label in enumerate(labels)]
+    return EdgeLabeledDigraph(len(labels), edges, num_labels=max(labels) + 1)
+
+
+#: Structural extremes random graphs rarely hit, by name.
+#: ``test_adversarial_topologies`` describes each and pins facts about it;
+#: the differential harness (``test_engine_parity``) runs every engine on it.
+ADVERSARIAL_TOPOLOGIES: Dict[str, EdgeLabeledDigraph] = {
+    "complete-1": _complete(6, 1),
+    "complete-2": _complete(5, 2),
+    **{f"cycle-{n}": _cycle([0] * n) for n in (5, 7, 9)},
+    "alternating-cycle": _cycle([0, 1] * 3),
+    "coprime-cycle": _cycle([0, 1, 0, 1, 0]),
+    "scc-bridge": EdgeLabeledDigraph(
+        5, [(0, 0, 1), (1, 0, 0), (3, 0, 4), (4, 0, 3), (1, 1, 3)], num_labels=2
+    ),
+    "isolated-vertices": EdgeLabeledDigraph(7, [(1, 0, 3), (3, 0, 5)], num_labels=1),
+    "star": EdgeLabeledDigraph(
+        8, [(0, 0, i) for i in range(1, 8)] + [(i, 1, 0) for i in range(1, 8)], num_labels=2
+    ),
+    "unused-labels": EdgeLabeledDigraph(4, [(0, 3, 1), (1, 3, 2)], num_labels=4),
+    "unique-labels": EdgeLabeledDigraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3)], num_labels=3),
+    "parallel-multigraph": EdgeLabeledDigraph(
+        4, [(u, l, v) for u in range(4) for v in range(4) for l in range(3) if u != v], num_labels=3
+    ),
+    "self-loop-alphabet": EdgeLabeledDigraph(1, [(0, l, 0) for l in range(3)], num_labels=3),
+}
+
+
+@st.composite
+def graphs(draw, max_vertices=8, max_labels=3):
+    """Hypothesis strategy: a small random multigraph, self-loops allowed."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    num_labels = draw(st.integers(min_value=1, max_value=max_labels))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, num_labels - 1), st.integers(0, n - 1))
+    edges = draw(st.sets(edge, max_size=3 * n))
+    return EdgeLabeledDigraph(n, sorted(edges), num_labels=num_labels)
+
+
+def assert_witness_valid(graph, source, target, labels, witness):
+    """A witness must be a real path spelling a power of the constraint."""
+    vertices, path_labels = witness
+    m = len(labels)
+    assert vertices[0] == source
+    assert vertices[-1] == target
+    assert len(path_labels) == len(vertices) - 1
+    assert len(path_labels) >= m and len(path_labels) % m == 0
+    assert tuple(path_labels) == tuple(labels) * (len(path_labels) // m)
+    for u, label, v in zip(vertices, path_labels, vertices[1:]):
+        assert graph.has_edge(u, label, v), (u, label, v)
 
 
 def brute_force_rlc(

@@ -18,16 +18,13 @@ from repro.engine import (
 )
 from repro.errors import (
     BudgetExceededError,
-    CapabilityError,
     EngineError,
-    NonPrimitiveConstraintError,
-    QueryError,
     ReproError,
 )
 from repro.graph.digraph import EdgeLabeledDigraph
 from repro.queries import RlcQuery
 
-from tests.helpers import all_primitive_constraints, brute_force_rlc
+from tests.helpers import all_primitive_constraints
 
 ALL_ENGINES = (
     "bfs", "bibfs", "dfs", "etc", "rlc-index", "sys1", "sys2", "virtuoso-sim",
@@ -223,7 +220,8 @@ class TestBatchedRlcIndex:
 
 
 class TestEngineBatches:
-    """``EngineBase.query_batch``, the one batched path of every engine."""
+    """``EngineBase.query_batch``, the one batched path of every engine;
+    ``test_engine_parity.py`` checks its answers and errors."""
 
     @pytest.fixture
     def graph(self):
@@ -239,34 +237,6 @@ class TestEngineBatches:
             for s in range(graph.num_vertices)
             for t in range(graph.num_vertices)
         ]
-
-    @pytest.mark.parametrize("name", engine_names())
-    def test_batch_contract(self, name, graph):
-        engine = create_engine(name, graph, **NEEDS_K.get(name, {}))
-        batch = self._mixed_batch(graph)
-        answers = engine.query_batch(batch)
-        assert answers == [
-            engine.query_prepared(q.labels, q.source, q.target)
-            for q in batch
-        ]
-        assert answers == [
-            brute_force_rlc(graph, q.source, q.target, q.labels) for q in batch
-        ]
-        with pytest.raises(QueryError, match="unknown source"):
-            engine.query_batch([RlcQuery(99, 0, (0,))])
-        with pytest.raises(QueryError, match="unknown target"):
-            engine.query_batch([RlcQuery(0, 0, (0,)), RlcQuery(0, 99, (0,))])
-        with pytest.raises(NonPrimitiveConstraintError):
-            engine.query_batch([RlcQuery(0, 1, (0, 0))])
-        over_k = RlcQuery(0, 1, (0, 1, 2))
-        if name in NEEDS_K:
-            with pytest.raises(CapabilityError, match=repr(name)):
-                engine.query_batch([over_k])
-        else:
-            assert engine.query_batch([over_k]) == [
-                engine.query_prepared(over_k.labels, 0, 1)
-            ]
-        assert engine.query_batch([]) == []
 
     @pytest.mark.parametrize(
         "name", ("bfs", "bibfs", "dfs", "sys1", "sys2", "virtuoso-sim")

@@ -6,9 +6,9 @@ Covers the PR-5 API redesign end to end:
   and the engine's check-once stamp;
 - randomized parity between ``query_prepared`` and the brute-force
   oracle for every registry engine;
-- witness-path validity behind every engine's true answers, attached
-  by the session: the returned path must be a real path of the graph
-  whose label sequence is a power of the constraint;
+- witnesses need a graph (that every engine's true answers get a
+  real path spelling a power of the constraint is checked by the
+  differential harness, ``test_engine_parity.py``);
 - :class:`QueryOutcome` provenance through the service layer (cache
   layer attribution, one cache entry per normalized constraint);
 - the error taxonomy (:class:`EngineOptionError` naming the spec,
@@ -25,7 +25,6 @@ from repro.engine import (
     QueryService,
     RlcIndexEngine,
     create_engine,
-    engine_names,
     filter_engine_options,
 )
 from repro.errors import (
@@ -36,7 +35,12 @@ from repro.errors import (
 )
 from repro.queries import RlcQuery
 
-from tests.helpers import all_primitive_constraints, brute_force_rlc, random_graph
+from tests.helpers import (
+    all_primitive_constraints,
+    assert_witness_valid,
+    brute_force_rlc,
+    random_graph,
+)
 
 FLAT_ENGINES = ("rlc-index", "bfs", "bibfs", "dfs", "etc", "sys1", "sys2", "virtuoso-sim")
 
@@ -44,19 +48,6 @@ FLAT_ENGINES = ("rlc-index", "bfs", "bibfs", "dfs", "etc", "sys1", "sys2", "virt
 def build(spec: str, graph, k: int = 2):
     """Create an engine, passing k only where its constructor accepts it."""
     return create_engine(spec, graph, **filter_engine_options(spec, {"k": k}))
-
-
-def assert_witness_valid(graph, source, target, labels, witness):
-    """A witness must be a real path spelling a power of the constraint."""
-    vertices, path_labels = witness
-    m = len(labels)
-    assert vertices[0] == source
-    assert vertices[-1] == target
-    assert len(path_labels) == len(vertices) - 1
-    assert len(path_labels) >= m and len(path_labels) % m == 0
-    assert tuple(path_labels) == tuple(labels) * (len(path_labels) // m)
-    for u, label, v in zip(vertices, path_labels, vertices[1:]):
-        assert graph.has_edge(u, label, v), (u, label, v)
 
 
 class TestPreparedQueryObject:
@@ -195,30 +186,8 @@ class TestPreparedParity:
 
 
 class TestWitnessParity:
-    """The session attaches a path-valid witness to every engine's true answers."""
-
-    @pytest.mark.parametrize("spec", engine_names())
-    def test_witnesses_are_real_paths(self, spec):
-        verified = 0
-        options = filter_engine_options(spec, {"k": 2})
-        for seed in range(5):
-            graph = random_graph(seed + 100, max_vertices=8)
-            session = Session(graph, engine=spec)
-            for labels in all_primitive_constraints(graph.num_labels, 2):
-                for source in range(graph.num_vertices):
-                    for target in range(0, graph.num_vertices, 2):
-                        outcome = session.query_outcome(
-                            source, target, labels, witness=True, **options
-                        )
-                        if not outcome.answer:
-                            assert outcome.witness is None
-                            continue
-                        assert outcome.witness is not None
-                        assert_witness_valid(
-                            graph, source, target, labels, outcome.witness
-                        )
-                        verified += 1
-        assert verified > 50, f"{spec}: too few true queries to verify"
+    """Witnesses need a graph; the differential harness checks them on
+    every engine's true answers (``test_engine_parity.py``)."""
 
     def test_witness_without_graph_raises(self, fig2_index):
         session = Session.from_prepared(
