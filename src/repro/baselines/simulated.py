@@ -76,7 +76,7 @@ class Sys1PropertyGraphEngine(_SimulatedEngine):
     def evaluate(self, source: int, target: int, nfa: Nfa) -> bool:
         if source == target and nfa.accepts_empty:
             return True
-        graph = self._graph
+        adjacency = self._graph.adjacency()
         names = self._label_names
         accepts = nfa.accept_states
         visited: List[Set[int]] = [set() for _ in range(nfa.num_states)]
@@ -91,9 +91,9 @@ class Sys1PropertyGraphEngine(_SimulatedEngine):
                 names[label]: nfa.successors(state, label)
                 for label in nfa.outgoing_labels(state)
             }
-            for label in graph.out_labels(vertex):
+            for label, neighbors in adjacency[vertex].items():
                 edge_label = names[label]
-                for neighbor in graph.out_neighbors(vertex, label):
+                for neighbor in neighbors:
                     for expected, next_states in step.items():
                         if edge_label != expected:
                             continue

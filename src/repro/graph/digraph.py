@@ -130,12 +130,13 @@ class EdgeLabeledDigraph:
 
     def _by_label(
         self, keys: np.ndarray, labels: np.ndarray, values: np.ndarray
-    ) -> List[Dict[int, Tuple[int, ...]]]:
-        """Per key vertex, ``{label: values}``, labels and values ascending."""
+    ) -> Tuple[Dict[int, Tuple[int, ...]], ...]:
+        """Per key vertex, ``{label: values}``, labels and values ascending;
+        a tuple, so no caller of :meth:`adjacency` can swap a vertex's dict."""
         n = self._num_vertices
         groups: List[Dict[int, Tuple[int, ...]]] = [{} for _ in range(n)]
         if keys.size == 0:
-            return groups
+            return tuple(groups)
         order = np.lexsort((values, labels, keys))
         keys, labels = keys[order], labels[order]
         # One run per (key, label) pair: split where either changes.
@@ -146,7 +147,7 @@ class EdgeLabeledDigraph:
             keys[starts].tolist(), labels[starts].tolist(), bounds, bounds[1:]
         ):
             groups[key][label] = tuple(neighbors[low:high])
-        return groups
+        return tuple(groups)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -229,10 +230,10 @@ class EdgeLabeledDigraph:
         the ``{label: neighbours}`` dict of the edges leaving ``vertex``
         (with ``incoming``, entering it), labels and neighbours ascending.
 
-        Read-only: the stored dicts are returned, not copies, so a
-        caller must not change them.  A search that walks every label
-        of a vertex iterates one dict instead of calling
-        :meth:`out_labels` and :meth:`out_neighbors`.
+        Read-only: the outer sequence is a tuple, and the stored dicts
+        are returned, not copies, so a caller must not change them.  A
+        search that walks every label of a vertex iterates one dict
+        instead of calling :meth:`out_labels` and :meth:`out_neighbors`.
         """
         return self._in_by_label if incoming else self._out_by_label
 

@@ -10,9 +10,9 @@ engines), and all answers are collected before the one assertion, so a
 failure names every entry point that disagrees.  The graphs are the
 fixed :data:`FAMILIES`, seeded random graphs, and hypothesis-drawn
 graphs, derandomized so a failure reproduces.  Every entry point must
-also reject each query of :data:`MALFORMED` with the error
-``engine.query_prepared`` raises.  This is the one place to add an
-engine (:data:`SPECS`), an entry point or a graph family.
+also reject each query of :data:`MALFORMED` with the error it pins.
+This is the one place to add an engine (:data:`SPECS`), an entry
+point or a graph family.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.api import ReplayServer, Session
 from repro.api.server import _BadRequest
 from repro.core.index import RlcIndex
 from repro.engine import RlcIndexEngine, create_engine, engine_names
-from repro.errors import ReproError
+from repro.errors import CapabilityError, NonPrimitiveConstraintError, QueryError
 from repro.graph.digraph import EdgeLabeledDigraph as Graph
 from repro.queries import RlcQuery
 
@@ -55,7 +55,7 @@ BLOCKS = {
         *(random_graph(seed * 3 + i, max_vertices=5, min_labels=2, max_labels=2) for i in range(3)),
         Graph(1, [], num_labels=2), Graph(1, [(0, 0, 0)], num_labels=2),
     ]
-    for seed in range(2)
+    for seed in range(4)
 }  # fmt: skip
 FAMILIES: Dict[str, Graph] = {
     # Two interleaved labelled cycles sharing vertices, plus chords.
@@ -244,14 +244,19 @@ def test_generated_graphs_match_the_oracle(graph):
     }
 
 
-#: ``(malformed query, what its error says)`` over ``three-labels``.
+#: ``(malformed query, its error's class, what it says)`` over ``three-labels``.
 MALFORMED = [
-    (RlcQuery(4, 0, (0,)), "unknown source"), (RlcQuery(0, 4, (0,)), "unknown target"),
-    (RlcQuery(2.5, 0, (0,)), "not an integer"), (RlcQuery(True, 0, (0,)), "not an integer"),
-    (RlcQuery("2", 0, (0,)), "not an integer"), (RlcQuery(0, 1, (0, 0)), "not a minimum repeat"),
-    (RlcQuery(0, 1, (3,)), "unknown label"), (RlcQuery(0, 1, (1.0,)), "not an integer"),
-    (RlcQuery(0, 1, ()), "at least one label"), (RlcQuery(0, 1, ([1],)), "not an integer"),
-]  # fmt: skip
+    (RlcQuery(4, 0, (0,)), QueryError, "unknown source"),
+    (RlcQuery(0, 4, (0,)), QueryError, "unknown target"),
+    (RlcQuery(2.5, 0, (0,)), QueryError, "not an integer"),
+    (RlcQuery(True, 0, (0,)), QueryError, "not an integer"),
+    (RlcQuery("2", 0, (0,)), QueryError, "not an integer"),
+    (RlcQuery(0, 1, (0, 0)), NonPrimitiveConstraintError, "not a minimum repeat"),
+    (RlcQuery(0, 1, (3,)), QueryError, "unknown label"),
+    (RlcQuery(0, 1, (1.0,)), QueryError, "not an integer"),
+    (RlcQuery(0, 1, ()), QueryError, "at least one label"),
+    (RlcQuery(0, 1, ([1],)), QueryError, "not an integer"),
+]
 OVER_K = RlcQuery(0, 1, (0, 1, 2))
 
 
@@ -264,29 +269,30 @@ def _raised(answer, queries):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_malformed_queries_raise_alike(spec):
-    """A malformed query, second in its batch, raises the same error at
-    every entry point; a handler may raise ``_BadRequest`` instead
+    """A malformed query, second in its batch, raises the error :data:`MALFORMED`
+    pins at every entry point; a handler may raise ``_BadRequest`` instead
     (``do_POST`` answers both with HTTP 400).  ``query_mr`` trusts its
     caller and sits this out.  An empty batch answers ``[]`` everywhere."""
     graph = FAMILIES["three-labels"]
     name = spec.split("?", 1)[0]
-    cases = MALFORMED + [(OVER_K, "recursive k=2")] * (name in K_BOUNDED)
+    cases = MALFORMED + [(OVER_K, CapabilityError, "recursive k=2")] * (name in K_BOUNDED)
     wrong = {}
     with entry_points(spec, graph) as points:
-        for bad, message in cases:
+        for bad, error, message in cases:
             batch = [RlcQuery(0, 0, (0,)), bad]
             expected = _raised(points["query_prepared"], batch)
-            assert isinstance(expected, ReproError) and message in str(expected), bad
+            assert type(expected) is error and message in str(expected), (bad, expected)
             for point, answer in points.items():
                 got = _raised(answer, batch)
                 if not (
                     point.endswith("query_mr")
-                    or type(got) is type(expected) and message in str(got)
+                    or type(got) is error and message in str(got)
                     or point.startswith("/") and isinstance(got, _BadRequest)
                 ):
                     wrong[f"{point} on {bad!r}"] = got
         if name in K_BOUNDED:
-            assert f"engine {name!r}" in str(_raised(points["query_batch"], [OVER_K]))
+            got = _raised(points["query_batch"], [OVER_K])
+            assert type(got) is CapabilityError and f"engine {name!r}" in str(got)
         else:  # a long constraint is an ordinary query
             truth = [brute_force_rlc(graph, 0, 1, OVER_K.labels)]
             wrong.update({p: a([OVER_K]) for p, a in points.items() if a([OVER_K]) != truth})
