@@ -62,7 +62,7 @@ from repro.core import (
 from repro.engine.base import PreparedQuery
 from repro.api import ReplayServer, Session
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "BudgetExceededError",

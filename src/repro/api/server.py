@@ -16,9 +16,10 @@ one process owns the prepared engines and answers a stream of queries.
 - ``POST /query`` — one query: ``{"source": 0, "target": 5, "labels":
   [1, 0]}``; the response is the structured
   :class:`~repro.engine.QueryOutcome` JSON (answer, engine id,
-  ``cached``, wall time).  Add ``"witness": true`` for a
-  witness path on a witness-ready engine, or ``"explain": true`` for
-  the fuller ``Session.explain`` document;
+  ``cached``, wall time).  Add ``"witness": true`` for a witness path
+  on a true answer (the session finds it over its graph, whatever the
+  engine), or ``"explain": true`` for the fuller ``Session.explain``
+  document;
 - ``POST /batch`` — a workload replay: ``{"queries": [{"source": ...,
   "target": ..., "labels": [...], "expected": true}, ...]}``, answered
   through the batched/cached service path and reported with
@@ -29,6 +30,12 @@ Every POST may name an ``"engine"`` spec — the server replays against
 any registry spec, preparing it lazily through the session on first
 use; equivalent spellings (``rlc``, ``rlc-index?k=2``) share one
 engine.
+
+The server parses bodies and shapes responses, nothing more.  It checks
+only the JSON shape of a body (an object, a ``labels`` list, boolean
+flags, a string spec); endpoints and label ids go unchecked to the
+session, where :mod:`repro.queries` owns the rules.  Every
+:class:`~repro.errors.ReproError` a request raises is an HTTP 400.
 
 The server holds no lock of its own: handler threads call straight
 into the shared session.  Engines are read-only after ``prepare()``,
@@ -42,7 +49,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.queries import RlcQuery
@@ -54,36 +61,38 @@ __all__ = ["ReplayServer"]
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
-class _BadRequest(ValueError):
-    """Client-side defect in a request body (mapped to HTTP 400)."""
+#: How often a :meth:`ReplayServer.start` thread checks for ``stop()``.
+#: ``serve_forever``'s default of 0.5 s would make every ``stop()`` wait
+#: out up to half a second.
+_THREAD_POLL_SECONDS = 0.01
 
 
-def _is_json_int(value) -> bool:
-    """True for a JSON integer (``bool`` is an ``int`` subclass, excluded)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+class _BadRequest(ReproError):
+    """A request body of the wrong JSON shape (mapped to HTTP 400)."""
 
 
-def _require_labels(payload: Dict) -> Tuple[int, ...]:
-    """The shared 'labels' parsing of /query, /batch and /prepare bodies."""
-    raw_labels = payload.get("labels")
-    if not isinstance(raw_labels, list) or not all(
-        _is_json_int(label) for label in raw_labels
-    ):
-        raise _BadRequest("'labels' must be a list of integers")
-    if not raw_labels:
-        raise _BadRequest("'labels' must be a non-empty list")
-    return tuple(raw_labels)
+def _labels(payload: Dict) -> List:
+    """The ``labels`` list of a body; :mod:`repro.queries` checks its entries."""
+    labels = payload.get("labels")
+    if not isinstance(labels, list):
+        raise _BadRequest("'labels' must be a list")
+    return labels
 
 
-def _require_query(payload: Dict) -> Tuple[int, int, Tuple[int, ...]]:
-    labels = _require_labels(payload)
-    source = payload.get("source")
-    target = payload.get("target")
-    if not _is_json_int(source) or not _is_json_int(target):
-        raise _BadRequest(
-            "a query needs integer 'source', 'target' and a 'labels' list"
-        )
-    return source, target, labels
+def _flag(payload: Dict, name: str) -> Optional[bool]:
+    """An optional JSON boolean of a body (``None`` when absent)."""
+    value = payload.get(name)
+    if value is not None and not isinstance(value, bool):
+        raise _BadRequest(f"'{name}' must be a boolean")
+    return value
+
+
+def _engine_spec(payload: Dict) -> Optional[str]:
+    """The body's optional ``engine`` spec string."""
+    spec = payload.get("engine")
+    if spec is not None and not isinstance(spec, str):
+        raise _BadRequest("'engine' must be a spec string")
+    return spec
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -116,8 +125,6 @@ class _Handler(BaseHTTPRequestHandler):
                 body = self.server.handle_prepare(payload)
             else:
                 body = self.server.handle_batch(payload)
-        except _BadRequest as exc:
-            self._respond(400, {"error": str(exc)})
         except ReproError as exc:
             self._respond(400, {"error": str(exc)})
         else:
@@ -199,25 +206,15 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         }
 
     def handle_query(self, payload: Dict) -> Dict:
-        source, target, labels = _require_query(payload)
-        spec = payload.get("engine")
-        if spec is not None and not isinstance(spec, str):
-            raise _BadRequest("'engine' must be a spec string")
-        witness = payload.get("witness")
-        if witness is not None and not isinstance(witness, bool):
-            raise _BadRequest("'witness' must be a boolean")
-        explain = payload.get("explain")
-        if explain is not None and not isinstance(explain, bool):
-            raise _BadRequest("'explain' must be a boolean")
-        if explain:
+        labels = _labels(payload)
+        spec = _engine_spec(payload)
+        witness = _flag(payload, "witness")
+        source, target = payload.get("source"), payload.get("target")
+        if _flag(payload, "explain"):
             # explain defaults to attaching a witness (its historical
             # behaviour); an explicit "witness": false declines it.
             return self.session.explain(
-                source,
-                target,
-                labels,
-                engine=spec,
-                witness=witness if witness is not None else True,
+                source, target, labels, engine=spec, witness=witness is not False
             )
         outcome = self.session.query_outcome(
             source, target, labels, engine=spec, witness=bool(witness)
@@ -230,15 +227,12 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         return body
 
     def handle_prepare(self, payload: Dict) -> Dict:
-        labels = _require_labels(payload)
-        spec = payload.get("engine")
-        if spec is not None and not isinstance(spec, str):
-            raise _BadRequest("'engine' must be a spec string")
-        prepared = self.session.prepare(labels, engine=spec)
-        engine = self.session.service(spec).engine
-        body = prepared.as_dict()
+        labels = _labels(payload)
+        spec = _engine_spec(payload)
+        service = self.session.service(spec)
+        body = service.prepare(labels).as_dict()
         body["engine"] = spec or self.session.default_engine_spec
-        body["engine_id"] = engine.name
+        body["engine_id"] = service.engine.name
         return body
 
     def handle_batch(self, payload: Dict) -> Dict:
@@ -249,17 +243,16 @@ class _SessionHTTPServer(ThreadingHTTPServer):
         for entry in raw_queries:
             if not isinstance(entry, dict):
                 raise _BadRequest("each query must be a JSON object")
-            source, target, labels = _require_query(entry)
-            expected = entry.get("expected")
-            if expected is not None and not isinstance(expected, bool):
-                raise _BadRequest("'expected' must be a boolean when present")
-            queries.append(RlcQuery(source, target, labels, expected=expected))
-        spec = payload.get("engine")
-        if spec is not None and not isinstance(spec, str):
-            raise _BadRequest("'engine' must be a spec string")
-        verify = payload.get("verify", True)
-        if not isinstance(verify, bool):
-            raise _BadRequest("'verify' must be a boolean")
+            queries.append(
+                RlcQuery(
+                    entry.get("source"),
+                    entry.get("target"),
+                    _labels(entry),
+                    expected=_flag(entry, "expected"),
+                )
+            )
+        spec = _engine_spec(payload)
+        verify = _flag(payload, "verify") is not False
         return self.session.run(queries, engine=spec, verify=verify).as_dict()
 
 
@@ -289,18 +282,22 @@ class ReplayServer:
 
     @property
     def session(self) -> Session:
+        """The session every request is answered through."""
         return self._session
 
     @property
     def host(self) -> str:
+        """The address the server is bound to."""
         return self._http.server_address[0]
 
     @property
     def port(self) -> int:
+        """The bound port (the ephemeral one chosen for ``port=0``)."""
         return self._http.server_address[1]
 
     @property
     def url(self) -> str:
+        """Base URL of the server, e.g. ``http://127.0.0.1:8080``."""
         return f"http://{self.host}:{self.port}"
 
     def serve_forever(self) -> None:
@@ -315,15 +312,20 @@ class ReplayServer:
         if self._thread is not None:
             return self
         self._thread = threading.Thread(
-            target=self._http.serve_forever, name="repro-serve", daemon=True
+            target=self._http.serve_forever,
+            kwargs={"poll_interval": _THREAD_POLL_SECONDS},
+            name="repro-serve",
+            daemon=True,
         )
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop serving and close the socket."""
-        self._http.shutdown()
+        """Stop the :meth:`start` thread, if any, and close the socket."""
         if self._thread is not None:
+            # shutdown() waits for a serve loop to end: only call it
+            # when a thread runs one, or it would wait forever.
+            self._http.shutdown()
             self._thread.join(timeout=10)
             self._thread = None
         self._http.server_close()

@@ -411,31 +411,21 @@ class Session:
         served it, wall time, and — for true answers when the session
         has a graph — a shortest witness path.
         """
-        spec = engine or self._default_spec
-        outcome = self.service(spec, **engine_options).query_outcome(
-            source, target, labels
-        )
-        if witness and self._graph is not None:
-            self._attach_witness(outcome)
-        explanation: Dict[str, object] = {
-            "query": {
-                "source": outcome.source,
-                "target": outcome.target,
-                "labels": list(outcome.labels),
-            },
-            "engine": spec,
-            "engine_id": outcome.engine,
-            "answer": outcome.answer,
-            "cached": outcome.cached,
-            "seconds": outcome.seconds,
+        body = self.query_outcome(
+            source,
+            target,
+            labels,
+            engine=engine,
+            witness=witness and self._graph is not None,
+            **engine_options,
+        ).as_dict()
+        query = {key: body.pop(key) for key in ("source", "target", "labels")}
+        return {
+            "query": query,
+            "engine": engine or self._default_spec,
+            "engine_id": body.pop("engine"),
+            **body,
         }
-        if outcome.witness is not None:
-            vertices, path_labels = outcome.witness
-            explanation["witness"] = {
-                "vertices": list(vertices),
-                "labels": list(path_labels),
-            }
-        return explanation
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -137,15 +137,14 @@ def _cmd_workload(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.witness and not args.graph:
-        print(
-            "error: --witness needs --graph GRAPH (a saved index carries no "
-            "edges to extract witness paths from)",
-            file=sys.stderr,
+        raise ReproError(
+            "--witness needs --graph GRAPH (a saved index carries no "
+            "edges to extract witness paths from)"
         )
-        return 2
     index = RlcIndex.load(args.index)
+    graph = load_graph(args.graph) if args.graph else None
     session = Session.from_prepared(
-        RlcIndexEngine.from_index(index),
+        RlcIndexEngine.from_index(index, graph),
         spec=f"rlc-index?k={index.k}",
         graph_name=str(args.index),
         cache_size=args.cache_size,
@@ -153,39 +152,14 @@ def _cmd_run(args) -> int:
     queries = list(load_workload(args.workload))
     report = session.run(queries)
     wrong = len(report.mismatches)
-    witnesses: Optional[List[Optional[dict]]] = None
+    witnesses = None
     if args.witness:
-        graph = load_graph(args.graph)
-        # The index carries no edges, so witnesses come from --graph —
-        # which must actually be the graph the index was built from, or
-        # the extracted "witnesses" would be paths of an unrelated graph.
-        if (
-            graph.num_vertices != index.num_vertices
-            or graph.num_labels != index.num_labels
-        ):
-            print(
-                f"error: --graph {args.graph!r} has {graph.num_vertices} "
-                f"vertices / {graph.num_labels} labels but the index was "
-                f"built over {index.num_vertices} vertices / "
-                f"{index.num_labels} labels — witness paths would be "
-                "extracted from the wrong graph",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.core import find_witness_path
-
-        witnesses = []
-        for query, answer in zip(queries, report.answers):
-            found = (
-                find_witness_path(graph, query.source, query.target, query.labels)
-                if answer
-                else None
-            )
-            witnesses.append(
-                {"vertices": list(found[0]), "labels": list(found[1])}
-                if found is not None
-                else None
-            )
+        witnesses = [
+            session.query_outcome(q.source, q.target, q.labels, witness=True)
+            .as_dict()
+            .get("witness")
+            for q in queries
+        ]
     if args.json:
         import json
 

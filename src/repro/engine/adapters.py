@@ -47,6 +47,7 @@ from repro.baselines.bfs import _NfaTraversal
 from repro.core import build_rlc_index
 from repro.core.index import RlcIndex
 from repro.engine.base import EngineBase, PreparedQuery
+from repro.errors import GraphError
 from repro.graph.digraph import EdgeLabeledDigraph
 
 __all__ = [
@@ -90,10 +91,29 @@ class RlcIndexEngine(EngineBase):
         self._time_budget = time_budget
 
     @classmethod
-    def from_index(cls, index: RlcIndex) -> "RlcIndexEngine":
-        """Wrap an already-built (e.g. loaded) index; skips prepare()."""
+    def from_index(
+        cls, index: RlcIndex, graph: Optional[EdgeLabeledDigraph] = None
+    ) -> "RlcIndexEngine":
+        """Wrap an already-built (e.g. loaded) index; skips prepare().
+
+        ``graph``, when given, is bound as the graph the index was built
+        over, so a session adopting the engine can extract witness
+        paths.  An index carries no edges, so only the sizes can be
+        checked: a graph whose vertex or label count differs from the
+        index's raises :class:`~repro.errors.GraphError`.
+        """
+        if graph is not None and (
+            graph.num_vertices != index.num_vertices
+            or graph.num_labels != index.num_labels
+        ):
+            raise GraphError(
+                f"graph {graph!r} has {graph.num_vertices} vertices / "
+                f"{graph.num_labels} labels but the index was built over "
+                f"{index.num_vertices} vertices / {index.num_labels} labels"
+            )
         engine = cls(k=index.k)
         engine._backend = index
+        engine._graph = graph
         return engine
 
     @property

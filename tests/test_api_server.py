@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -262,7 +263,7 @@ class TestPrepareEndpoint:
         assert status == 400 and "error" in body
         for labels in (["x"], [1.5], [True], ["1"], [0, 1.0]):
             status, body = post(server, "/prepare", {"labels": labels})
-            assert status == 400 and "integers" in body["error"]
+            assert status == 400 and "not an integer" in body["error"]
         status, body = post(server, "/prepare", {"labels": [99]})
         assert status == 400 and "unknown label" in body["error"]
 
@@ -391,3 +392,23 @@ class TestConcurrentRequests:
         assert body["cached"] is False
         [(batch_status, report)] = responses
         assert batch_status == 200 and report["ok"]
+
+
+class TestLifecycle:
+    def test_stop_returns_promptly_after_start(self, graph):
+        server = ReplayServer(Session(graph), port=0).start()
+        assert get(server, "/healthz")[0] == 200
+        # A serve loop polling at the stdlib's default 0.5 s would make
+        # stop() wait out the rest of that interval.
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.25
+
+    def test_stop_without_start_returns_at_once(self, graph):
+        server = ReplayServer(Session(graph), port=0)
+        # Run in a daemon thread so a hang fails this test, not the run.
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        server.stop()  # a second stop is harmless

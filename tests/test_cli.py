@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.graph.generators import paper_figure2
-from repro.graph.io import write_edge_list
+from repro.graph.io import save_graph_npz, write_edge_list
 
 
 @pytest.fixture
@@ -177,6 +177,35 @@ class TestEngineCommands:
             "run", str(index_path), str(workload_path), "--witness",
         ]) == 2
         assert "--graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["vertex", "label"])
+    def test_run_witness_rejects_a_graph_of_another_size(
+        self, fig2_file, tmp_path, capsys, extra
+    ):
+        from repro.graph.digraph import EdgeLabeledDigraph
+
+        fig2 = paper_figure2()
+        workload_path = tmp_path / "w.txt"
+        index_path = tmp_path / "i.npz"
+        other_path = tmp_path / "other.npz"
+        main(["workload", str(fig2_file), "-k", "2", "--true-queries", "2",
+              "--false-queries", "2", "-o", str(workload_path)])
+        main(["build", str(fig2_file), "-o", str(index_path)])
+        other = EdgeLabeledDigraph(
+            fig2.num_vertices + (extra == "vertex"),
+            list(fig2.edges()),
+            num_labels=fig2.num_labels + (extra == "label"),
+        )
+        save_graph_npz(other, other_path)
+        capsys.readouterr()
+        assert main([
+            "run", str(index_path), str(workload_path),
+            "--witness", "--graph", str(other_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{other.num_vertices} vertices / {other.num_labels} labels" in err
+        assert f"{fig2.num_vertices} vertices / {fig2.num_labels} labels" in err
 
     @pytest.mark.parametrize("engine", ["rlc-index", "bibfs", "sys2"])
     def test_bench_any_registered_engine(self, engine, fig2_file, tmp_path, capsys):

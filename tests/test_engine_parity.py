@@ -27,7 +27,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.api import ReplayServer, Session
-from repro.api.server import _BadRequest
 from repro.core.index import RlcIndex
 from repro.engine import RlcIndexEngine, create_engine, engine_names
 from repro.errors import CapabilityError, NonPrimitiveConstraintError, QueryError
@@ -197,7 +196,7 @@ def entry_points(spec, graph, blocks=None):
     try:
         yield points
     finally:
-        server._http.server_close()
+        server.stop()
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -270,9 +269,9 @@ def _raised(answer, queries):
 @pytest.mark.parametrize("spec", SPECS)
 def test_malformed_queries_raise_alike(spec):
     """A malformed query, second in its batch, raises the error :data:`MALFORMED`
-    pins at every entry point; a handler may raise ``_BadRequest`` instead
-    (``do_POST`` answers both with HTTP 400).  ``query_mr`` trusts its
-    caller and sits this out.  An empty batch answers ``[]`` everywhere."""
+    pins at every entry point, the ``/query`` and ``/batch`` handlers
+    included.  ``query_mr`` trusts its caller and sits this out.  An empty
+    batch answers ``[]`` everywhere."""
     graph = FAMILIES["three-labels"]
     name = spec.split("?", 1)[0]
     cases = MALFORMED + [(OVER_K, CapabilityError, "recursive k=2")] * (name in K_BOUNDED)
@@ -287,7 +286,6 @@ def test_malformed_queries_raise_alike(spec):
                 if not (
                     point.endswith("query_mr")
                     or type(got) is error and message in str(got)
-                    or point.startswith("/") and isinstance(got, _BadRequest)
                 ):
                     wrong[f"{point} on {bad!r}"] = got
         if name in K_BOUNDED:

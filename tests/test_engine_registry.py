@@ -19,6 +19,7 @@ from repro.engine import (
 from repro.errors import (
     BudgetExceededError,
     EngineError,
+    GraphError,
     ReproError,
 )
 from repro.graph.digraph import EdgeLabeledDigraph
@@ -183,6 +184,29 @@ class TestEngineLifecycle:
         assert engine.prepared
         assert engine.backend is fig2_index
         assert engine.query_prepared((1, 0), 2, 5) is True
+
+    def test_from_index_binds_a_matching_graph(self, fig2, fig2_index):
+        engine = RlcIndexEngine.from_index(fig2_index, fig2)
+        assert engine.graph is fig2 and engine.backend is fig2_index
+        assert engine.query_prepared((1, 0), 2, 5) is True
+
+    @pytest.mark.parametrize(
+        "vertices, labels", [(1, 0), (0, 1)], ids=["vertices", "labels"]
+    )
+    def test_from_index_rejects_a_graph_of_another_size(
+        self, fig2, fig2_index, vertices, labels
+    ):
+        other = EdgeLabeledDigraph(
+            fig2.num_vertices + vertices, [], num_labels=fig2.num_labels + labels
+        )
+        with pytest.raises(GraphError) as caught:
+            RlcIndexEngine.from_index(fig2_index, other)
+        message = str(caught.value)
+        assert f"{other.num_vertices} vertices / {other.num_labels} labels" in message
+        assert (
+            f"{fig2_index.num_vertices} vertices / {fig2_index.num_labels} labels"
+            in message
+        )
 
 
 class TestBatchedRlcIndex:

@@ -40,7 +40,7 @@ class TestHierarchy:
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.18.0"
+        assert repro.__version__ == "1.19.0"
 
     def test_all_symbols_resolvable(self):
         for name in repro.__all__:

@@ -15,10 +15,11 @@ Two guards make the script a CI gate (the ``docs-check`` job):
 - the public facade packages must never drop out of the reference
   silently (e.g. a skipped package or a swallowed import error);
 - every public symbol — and every public method/property of a public
-  class — in the *documentation-guarded* modules (the query surface:
-  the query rules, the index, the engine contract, the service and the
-  session) must carry a docstring, or the script exits non-zero
-  listing the offenders.
+  class — in the *documentation-guarded* modules (``DOCSTRING_GUARDED``:
+  the query rules, the index and its builder, the engine contract, the
+  service, the session and the replay server, ETC, the graph and its
+  I/O) must carry a docstring, or the script exits non-zero listing
+  the offenders.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ DOCSTRING_GUARDED = (
     "repro.engine.base",
     "repro.engine.service",
     "repro.api.session",
+    "repro.api.server",
     "repro.core.builder",
     "repro.baselines.etc",
     "repro.graph.digraph",
